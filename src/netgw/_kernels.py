@@ -1,46 +1,22 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels in numpy.
 
-The compiled (numba) backend is used when available; set
-``NETGW_BACKEND=numpy`` to force the pure-numpy fallback.  Both
-implementations of every kernel are importable so tests and benchmarks
-can compare them directly.
+dis_pow, dis_sup and gp_mass sum or maximize over the quadruples
+(i, j, k, l) of two weight matrices under a plan and itself; tlb_pow
+builds the matrix of 1D transport costs between local distributions.
 """
-
-import os
 
 import numpy as np
 
-BACKEND_ENV = "NETGW_BACKEND"
 
-_forced = os.environ.get(BACKEND_ENV, "").strip().lower()
-if _forced not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"{BACKEND_ENV} must be 'numba' or 'numpy', got {_forced!r}"
-    )
-
-HAVE_NUMBA = False
-if _forced != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _forced == "numba":
-            raise
-        HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-
-def dis_pow_numpy(wx, wy, plan, p):
+def dis_pow(wx, wy, plan, p):
     """sum over (i,j,k,l) of |wx[i,k] - wy[j,l]|^p plan[i,j] plan[k,l].
 
-    Loops over i only; the (k,j,l) block is vectorized, so memory stays
-    at O(m n^2) per step.
+    For p = inf this is the sup-distortion dis_sup itself, which is
+    also the limit of the p-th root of the sum.  Loops over i only; the
+    (k,j,l) block is vectorized, so memory stays at O(m n^2) per step.
     """
+    if np.isinf(p):
+        return dis_sup(wx, wy, plan)
     m = wx.shape[0]
     total = 0.0
     for i in range(m):
@@ -57,7 +33,7 @@ def dis_pow_numpy(wx, wy, plan, p):
     return total
 
 
-def dis_sup_numpy(wx, wy, plan):
+def dis_sup(wx, wy, plan):
     """max of |wx[i,k] - wy[j,l]| over pairs with plan[i,j]*plan[k,l] > 0."""
     si, sj = np.nonzero(plan > 0.0)
     best = 0.0
@@ -73,7 +49,7 @@ def dis_sup_numpy(wx, wy, plan):
     return best
 
 
-def gp_mass_numpy(wx, wy, plan, eps):
+def gp_mass(wx, wy, plan, eps):
     """mass of {(i,j,k,l) : |wx[i,k] - wy[j,l]| >= eps} under plan x plan."""
     m = wx.shape[0]
     total = 0.0
@@ -86,7 +62,7 @@ def gp_mass_numpy(wx, wy, plan, eps):
     return total
 
 
-def tlb_pow_numpy(qx, cx, qy, cy, p):
+def tlb_pow(qx, cx, qy, cy, p):
     """Matrix of p-th power 1D transport costs between all row pairs.
 
     qx[i] holds the i-th local distribution's atoms sorted ascending and
@@ -131,156 +107,3 @@ def tlb_pow_numpy(qx, cx, qy, cy, p):
             fy = qy[j, np.searchsorted(cy[j], grid, side="left")]
             out[i, j] = ((fx - fy) * (fx - fy)) @ seg
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _dis_pow_nb(wx, wy, plan, p):
-        m = wx.shape[0]
-        n = wy.shape[0]
-        total = 0.0
-        for i in range(m):
-            for j in range(n):
-                pij = plan[i, j]
-                if pij == 0.0:
-                    continue
-                acc = 0.0
-                for k in range(m):
-                    wik = wx[i, k]
-                    for l in range(n):
-                        pkl = plan[k, l]
-                        if pkl == 0.0:
-                            continue
-                        d = wik - wy[j, l]
-                        if d < 0.0:
-                            d = -d
-                        if p == 1.0:
-                            acc += d * pkl
-                        elif p == 2.0:
-                            acc += d * d * pkl
-                        else:
-                            acc += d**p * pkl
-                total += pij * acc
-        return total
-
-    @njit(cache=True, nogil=True)
-    def _dis_sup_nb(wx, wy, plan):
-        m = wx.shape[0]
-        n = wy.shape[0]
-        best = 0.0
-        for i in range(m):
-            for j in range(n):
-                if plan[i, j] == 0.0:
-                    continue
-                for k in range(m):
-                    wik = wx[i, k]
-                    for l in range(n):
-                        if plan[k, l] == 0.0:
-                            continue
-                        d = wik - wy[j, l]
-                        if d < 0.0:
-                            d = -d
-                        if d > best:
-                            best = d
-        return best
-
-    @njit(cache=True, nogil=True)
-    def _gp_mass_nb(wx, wy, plan, eps):
-        m = wx.shape[0]
-        n = wy.shape[0]
-        total = 0.0
-        for i in range(m):
-            for j in range(n):
-                pij = plan[i, j]
-                if pij == 0.0:
-                    continue
-                acc = 0.0
-                for k in range(m):
-                    wik = wx[i, k]
-                    for l in range(n):
-                        d = wik - wy[j, l]
-                        if d < 0.0:
-                            d = -d
-                        if d >= eps:
-                            acc += plan[k, l]
-                total += pij * acc
-        return total
-
-    @njit(cache=True, nogil=True)
-    def _tlb_pow_nb(qx, cx, qy, cy, p):
-        m, kx = qx.shape
-        n, ky = qy.shape
-        out = np.empty((m, n))
-        for i in range(m):
-            for j in range(n):
-                acc = 0.0
-                ii = 0
-                jj = 0
-                t_prev = 0.0
-                while ii < kx and jj < ky:
-                    tx = cx[i, ii]
-                    ty = cy[j, jj]
-                    t = tx if tx < ty else ty
-                    d = qx[i, ii] - qy[j, jj]
-                    if d < 0.0:
-                        d = -d
-                    if p == 1.0:
-                        val = d
-                    elif p == 2.0:
-                        val = d * d
-                    else:
-                        val = d**p
-                    acc += (t - t_prev) * val
-                    t_prev = t
-                    if tx <= ty:
-                        ii += 1
-                    if ty <= tx:
-                        jj += 1
-                out[i, j] = acc
-        return out
-
-    def dis_pow_numba(wx, wy, plan, p):
-        return _dis_pow_nb(
-            np.ascontiguousarray(wx, dtype=np.float64),
-            np.ascontiguousarray(wy, dtype=np.float64),
-            np.ascontiguousarray(plan, dtype=np.float64),
-            float(p),
-        )
-
-    def dis_sup_numba(wx, wy, plan):
-        return _dis_sup_nb(
-            np.ascontiguousarray(wx, dtype=np.float64),
-            np.ascontiguousarray(wy, dtype=np.float64),
-            np.ascontiguousarray(plan, dtype=np.float64),
-        )
-
-    def gp_mass_numba(wx, wy, plan, eps):
-        return _gp_mass_nb(
-            np.ascontiguousarray(wx, dtype=np.float64),
-            np.ascontiguousarray(wy, dtype=np.float64),
-            np.ascontiguousarray(plan, dtype=np.float64),
-            float(eps),
-        )
-
-    def tlb_pow_numba(qx, cx, qy, cy, p):
-        return _tlb_pow_nb(
-            np.ascontiguousarray(qx, dtype=np.float64),
-            np.ascontiguousarray(cx, dtype=np.float64),
-            np.ascontiguousarray(qy, dtype=np.float64),
-            np.ascontiguousarray(cy, dtype=np.float64),
-            float(p),
-        )
-
-    dis_pow = dis_pow_numba
-    dis_sup = dis_sup_numba
-    gp_mass = gp_mass_numba
-    tlb_pow = tlb_pow_numba
-else:
-    dis_pow = dis_pow_numpy
-    dis_sup = dis_sup_numpy
-    gp_mass = gp_mass_numpy
-    tlb_pow = tlb_pow_numpy

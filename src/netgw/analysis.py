@@ -11,7 +11,13 @@ import numpy as np
 
 from .bounds import rflb, rslb, rtlb_max, szlb
 from .core import MeasureNetwork, _freeze, new_network
-from .errors import DomainError, IoError, NonSquareError, ParseError
+from .errors import (
+    DomainError,
+    IoError,
+    NonSquareError,
+    NotConvergedError,
+    ParseError,
+)
 from .gw import entropic_gw
 from .ot import SinkhornConfig
 
@@ -81,8 +87,16 @@ def _pair_value(xi, xj, method, p, config):
     if method == "entropic_gw":
         if p != 2.0:
             raise DomainError("entropic_gw supports p=2 only")
+        res = entropic_gw(xi, xj, config)
+        # the value of an unconverged or aborted run is only the distortion
+        # of some coupling, not an estimate of d_{N,2}; record a failure
+        if res.inner_error is not None or not res.converged:
+            reason = res.inner_error or "the plan was still moving"
+            raise NotConvergedError(
+                f"entropic_gw stopped after {res.iterations} outer iterations: {reason}"
+            )
         # the solver estimates d_{N,2}; the matrix convention is 2*d
-        return 2.0 * entropic_gw(xi, xj, config).value
+        return 2.0 * res.value
     raise DomainError(f"unknown method {method!r}; available: {METHODS}")
 
 

@@ -120,8 +120,9 @@ def _tlb_pow_matrix(X, Y, p, direction):
 def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCostMatrix:
     """Entry (i, j) is W_p(local distribution of i, local distribution of j).
 
-    All m*n entries come from the closed-form merged-quantile sweep;
-    this is the stated bottleneck of the whole pipeline.
+    All m*n entries come from the closed-form merged-quantile sweep.
+    In rtlb this sweep is cheap next to the transport LP (exact_ot)
+    that follows it, which takes most of each pair's time.
     """
     p = _finite_order(p)
     if direction not in ("out", "in"):

@@ -223,8 +223,6 @@ def distortion(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling, p) -> float:
     if p < 1.0:
         raise ValueError("order p must be >= 1")
     wx, wy, plan = X.weights, Y.weights, mu.plan
-    if np.isinf(p):
-        return _kernels.dis_sup(wx, wy, plan)
     if p == 2.0:
         # expansion |a-b|^2 = a^2 + b^2 - 2ab under plan (x) plan
         sx = float(X.measure @ (wx * wx) @ X.measure)
@@ -236,18 +234,9 @@ def distortion(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling, p) -> float:
         if val <= 64.0 * np.finfo(np.float64).eps * (sx + sy):
             val = float(_kernels.dis_pow(wx, wy, plan, 2.0))
         return float(np.sqrt(max(val, 0.0)))
-    return float(_kernels.dis_pow(wx, wy, plan, p)) ** (1.0 / p)
-
-
-def distortion_quad(X, Y, mu: Coupling, p) -> float:
-    """Generic quadruple-sum distortion, no p=2 shortcut (cross-check path)."""
-    _check_marginals(X, Y, mu)
-    p = float(p)
-    if np.isinf(p):
-        return _kernels.dis_sup(X.weights, Y.weights, mu.plan)
-    return float(_kernels.dis_pow(X.weights, Y.weights, mu.plan, p)) ** (
-        1.0 / p
-    )
+    val = float(_kernels.dis_pow(wx, wy, plan, p))
+    # dis_pow is already the sup at p = inf, where x ** (1/p) would be 1
+    return val if np.isinf(p) else val ** (1.0 / p)
 
 
 def dnp_to_point(X: MeasureNetwork, a, p) -> float:

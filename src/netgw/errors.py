@@ -45,6 +45,10 @@ class MaxItersExceededError(NetgwError, RuntimeError):
         self.partial = partial
 
 
+class NotConvergedError(NetgwError, RuntimeError):
+    """A solver ended without converging, so its value is not a result."""
+
+
 class RangeTooWideError(NetgwError, ArithmeticError):
     """No exponent shift keeps every kernel entry representable."""
 

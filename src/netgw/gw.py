@@ -212,12 +212,6 @@ def _repair_plan(plan, mu, nu):
     return np.maximum(fixed, 0.0)
 
 
-def _distortion_pow(wx, wy, plan, p):
-    if np.isinf(p):
-        return _kernels.dis_sup(wx, wy, plan)
-    return _kernels.dis_pow(wx, wy, plan, p)
-
-
 def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> GwResult:
     """Near-exhaustive search over the coupling polytope for tiny inputs.
 
@@ -257,7 +251,7 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
         candidates.append(_repair_plan(table / grid_k, mu, nu))
 
     scored = sorted(
-        ((float(_distortion_pow(wx, wy, c, p)), i) for i, c in enumerate(candidates)),
+        ((float(_kernels.dis_pow(wx, wy, c, p)), i) for i, c in enumerate(candidates)),
         key=lambda t: t[0],
     )
 
@@ -271,7 +265,7 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
         bounds = [(0.0, 1.0)] * (m * n)
         for _, idx in scored[:10]:
             res = optimize.minimize(
-                lambda v: _distortion_pow(wx, wy, np.ascontiguousarray(v.reshape(m, n)), p),
+                lambda v: _kernels.dis_pow(wx, wy, np.ascontiguousarray(v.reshape(m, n)), p),
                 candidates[idx].ravel(),
                 method="SLSQP",
                 bounds=bounds,
@@ -281,7 +275,7 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
             if not res.success:
                 continue
             polished = _repair_plan(res.x.reshape(m, n), mu, nu)
-            value = float(_distortion_pow(wx, wy, polished, p))
+            value = float(_kernels.dis_pow(wx, wy, polished, p))
             if value < best_pow:
                 best_pow, best_plan = value, polished
 

@@ -2,10 +2,11 @@
 
 Three layers: an exact LP solver for arbitrary discrete costs, closed
 form 1D transport via merged quantile breakpoints, and entropically
-regularized Sinkhorn iteration in plain and log-stabilized forms.
+regularized Sinkhorn iteration (one log-stabilized loop; the plain form
+is that loop with absorption off).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -261,53 +262,17 @@ def sinkhorn(cost, cfg: SinkhornConfig, mu, nu) -> SinkhornResult:
 
     Raises KernelUnderflow when any kernel entry falls below the
     smallest positive normal double at initialization; use
-    sinkhorn_log for such instances.
+    sinkhorn_log for such instances.  Runs the sinkhorn_log loop from
+    that kernel with absorption switched off.
     """
     cost = np.asarray(cost, dtype=np.float64)
     mu = _prob_vector(mu, "mu")
     nu = _prob_vector(nu, "nu")
     with np.errstate(over="ignore", under="ignore"):
         K = np.exp(-cfg.lam * cost)
-    kmin = float(K.min())
-    kmax = float(K.max())
-    if kmin < TINY_NORMAL or not np.isfinite(kmax):
-        raise KernelUnderflowError(
-            f"exp(-lam*cost) leaves the normal range (min {kmin!r}, "
-            f"max {kmax!r}); use sinkhorn_log"
-        )
-    a = np.ones(mu.size)
-    b = np.ones(nu.size)
-    err = np.inf
-    for it in range(1, cfg.max_iters + 1):
-        b = nu / (K.T @ a)
-        a = mu / (K @ b)
-        plan = a[:, None] * K * b[None, :]
-        err = _marginal_error(plan, mu, nu)
-        if err <= cfg.tolerance:
-            return SinkhornResult(
-                plan=_result_coupling(plan, mu, nu, err),
-                iterations=it,
-                marginal_error=err,
-                absorptions=0,
-                kernel_min=kmin,
-                kernel_max=kmax,
-                converged=True,
-            )
-        if not np.isfinite(err):
-            break
-    partial = SinkhornResult(
-        plan=_partial_coupling(plan),
-        iterations=it,
-        marginal_error=err,
-        absorptions=0,
-        kernel_min=kmin,
-        kernel_max=kmax,
-        converged=False,
-    )
-    raise MaxItersExceededError(
-        f"marginal error {err!r} after {it} iterations "
-        f"(tolerance {cfg.tolerance})",
-        partial=partial,
+    state = KernelState(K=K, u=np.zeros(mu.size), v=np.zeros(nu.size), gamma=0.0)
+    return sinkhorn_log(
+        cost, replace(cfg, absorb_threshold=np.inf), mu, nu, state=state
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,7 +17,7 @@ from netgw.analysis import (
     single_linkage,
     to_newick,
 )
-from netgw.core import one_point_network
+from netgw.core import new_network, one_point_network
 from netgw.errors import DomainError, IoError, NonSquareError, ParseError
 from netgw.invariants import size_curve
 
@@ -123,6 +124,36 @@ def test_entropic_rejects_other_orders():
     _, failures = dissimilarity_matrix(POINTS, "entropic_gw", p=1.0)
     assert len(failures) == 3
     assert all("p=2 only" in f.error for f in failures)
+
+
+def test_entropic_inner_error_is_a_failure():
+    # at the default lam=100 the kernel exponents of weights spanning
+    # [0, 100] leave the double range, so the solver stops at outer
+    # iteration 1; its product-coupling value is not a distance
+    X = new_network([[0.0, 100.0], [50.0, 0.0]], [0.5, 0.5])
+    Y = new_network([[0.0, 10.0], [80.0, 5.0]], [0.3, 0.7])
+    matrix, failures = dissimilarity_matrix([X, Y], "entropic_gw", labels=["x", "y"])
+    assert len(failures) == 1
+    assert (failures[0].label_i, failures[0].label_j) == ("x", "y")
+    assert "NotConvergedError" in failures[0].error
+    assert "RangeTooWideError" in failures[0].error
+    assert math.isnan(matrix.D[0, 1])
+
+
+def test_entropic_nonconverged_is_a_failure(monkeypatch):
+    import netgw.analysis as analysis
+
+    real = analysis.entropic_gw
+
+    def capped(X, Y, config):
+        return dataclasses.replace(real(X, Y, config), converged=False)
+
+    monkeypatch.setattr(analysis, "entropic_gw", capped)
+    matrix, failures = dissimilarity_matrix(POINTS, "entropic_gw")
+    assert len(failures) == 3
+    assert all("NotConvergedError" in f.error for f in failures)
+    assert all("still moving" in f.error for f in failures)
+    assert not np.any(np.isfinite(matrix.D[~np.eye(3, dtype=bool)]))
 
 
 def test_parallel_matches_serial():

@@ -173,6 +173,23 @@ def test_compare_partial_failure_exits_one(point_dir, tmp_path, capsys):
     assert not matrix.complete
 
 
+def test_compare_entropic_range_failure_exits_one(tmp_path, capsys):
+    # the kernel range at the default lam cannot hold these weights; the
+    # pair must reach the manifest, not the matrix
+    d = tmp_path / "nets"
+    d.mkdir()
+    save_network(new_network([[0.0, 100.0], [50.0, 0.0]], [0.5, 0.5]), d / "x.json")
+    save_network(new_network([[0.0, 10.0], [80.0, 5.0]], [0.3, 0.7]), d / "y.json")
+    out = tmp_path / "cmp"
+    code = main(["compare", str(d), "--method", "entropic_gw", "--out", str(out)])
+    assert code == 1
+    assert "1 of 1 pairs failed" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"][0]["pair"] == ["x", "y"]
+    assert "RangeTooWideError" in report["failures"][0]["error"]
+    assert not load_dissimilarity_csv(out / "dissimilarity.csv").complete
+
+
 def test_compare_rejects_oversized_network(tmp_path, capsys):
     n = 1001
     doc = {"weights": [[0.0] * n] * n}

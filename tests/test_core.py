@@ -1,13 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netgw import _kernels
 from netgw.core import (
     Coupling,
     DiscreteDistribution,
     diagonal_coupling,
     distortion,
-    distortion_quad,
     dnp_to_point,
     gp_objective,
     load_network,
@@ -25,6 +27,8 @@ from netgw.errors import (
     NonSquareWeightsError,
     ParseError,
 )
+from netgw.invariants import size_p
+from netgw.ot import exact_ot
 
 from conftest import random_coupling, random_network
 
@@ -180,11 +184,11 @@ def test_distortion_matches_quadruple_sum(p):
         Y = random_network(rng, int(m))
         c = random_coupling(rng, X.measure, Y.measure)
         fast = distortion(X, Y, c, p)
-        slow = distortion_quad(X, Y, c, p)
+        slow = _kernels.dis_pow(X.weights, Y.weights, c.plan, p) ** (1.0 / p)
         assert fast == pytest.approx(slow, abs=1e-10)
 
 
-def test_distortion_quadruple_oracle():
+def test_distortion_four_index_loop_oracle():
     """Spell the 4-index sum out in loops for one small instance."""
     rng = np.random.default_rng(3)
     X = random_network(rng, 3)
@@ -202,6 +206,55 @@ def test_distortion_quadruple_oracle():
                         * c.plan[k, l]
                     )
     assert distortion(X, Y, c, p) == pytest.approx(acc ** (1 / p), abs=1e-12)
+
+
+def _loop_distortion(wx, wy, plan, p):
+    terms = [
+        (abs(wx[i, k] - wy[j, l]), plan[i, j] * plan[k, l])
+        for i in range(wx.shape[0])
+        for j in range(wy.shape[0])
+        for k in range(wx.shape[0])
+        for l in range(wy.shape[0])
+    ]
+    if np.isinf(p):
+        return max(d for d, mass in terms if mass > 0.0)
+    return sum(d**p * mass for d, mass in terms) ** (1.0 / p)
+
+
+@st.composite
+def _scaled_network(draw):
+    n = draw(st.integers(1, 4))
+    # small integers give tied weights, floats give generic ones; both signed
+    entry = st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-1.0, 1.0, allow_nan=False)
+    )
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    w = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))) * scale
+    mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return new_network(w.reshape(n, n), mass / mass.sum())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    X=_scaled_network(),
+    Y=_scaled_network(),
+    kind=st.sampled_from(["product", "interior", "vertex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distortion_property_against_loops(X, Y, kind, seed):
+    """Every order goes through one route; the p=2 expansion cancels near
+    zero, hence the absolute term scaled by the sizes."""
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        c = product_coupling(X.measure, Y.measure)
+    elif kind == "interior":
+        c = random_coupling(rng, X.measure, Y.measure)
+    else:
+        c, _ = exact_ot(rng.random((X.n, Y.n)), X.measure, Y.measure)
+    tol = 1e-7 * (size_p(X, 2.0) + size_p(Y, 2.0))
+    for p in (1.0, 2.0, 2.5, np.inf):
+        want = _loop_distortion(X.weights, Y.weights, c.plan, p)
+        assert distortion(X, Y, c, p) == pytest.approx(want, rel=1e-9, abs=tol)
 
 
 def test_distortion_sup_ignores_zero_mass_pairs():

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,10 +6,6 @@ from netgw import _kernels
 from netgw.bounds import _local_quantiles
 
 from conftest import random_coupling, random_network
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAVE_NUMBA, reason="numba backend not available"
-)
 
 
 def _instance(rng, m, n, uniform=False):
@@ -60,6 +52,9 @@ def test_dis_sup_against_loops(rng):
     assert _kernels.dis_sup(X.weights, Y.weights, plan) == pytest.approx(
         best, abs=1e-15
     )
+    assert _kernels.dis_pow(X.weights, Y.weights, plan, np.inf) == _kernels.dis_sup(
+        X.weights, Y.weights, plan
+    )
 
 
 def test_gp_mass_against_loops(rng):
@@ -94,103 +89,5 @@ def test_tlb_pow_numpy_identical_rows_exact_zero(rng):
     X = random_network(rng, 6)
     qx, cx = _local_quantiles(X, "out")
     for p in (1.0, 2.0):
-        out = _kernels.tlb_pow_numpy(qx, cx, qx, cx, p)
+        out = _kernels.tlb_pow(qx, cx, qx, cx, p)
         npt.assert_array_equal(np.diag(out), np.zeros(6))
-
-
-# ---------------------------------------------------------------------------
-# backend agreement
-
-
-@needs_numba
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_dis_pow_backends_agree(rng, p):
-    for _ in range(5):
-        m, n = rng.integers(2, 9, size=2)
-        X, Y, plan = _instance(rng, int(m), int(n))
-        a = _kernels.dis_pow_numpy(X.weights, Y.weights, plan, p)
-        b = _kernels.dis_pow_numba(X.weights, Y.weights, plan, p)
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-
-@needs_numba
-def test_dis_sup_backends_agree(rng):
-    for _ in range(5):
-        m, n = rng.integers(2, 9, size=2)
-        X, Y, plan = _instance(rng, int(m), int(n))
-        a = _kernels.dis_sup_numpy(X.weights, Y.weights, plan)
-        b = _kernels.dis_sup_numba(X.weights, Y.weights, plan)
-        assert a == pytest.approx(b, abs=1e-15)
-
-
-@needs_numba
-def test_gp_mass_backends_agree(rng):
-    for _ in range(5):
-        m, n = rng.integers(2, 9, size=2)
-        X, Y, plan = _instance(rng, int(m), int(n))
-        for eps in (0.0, 1.0, 4.0):
-            a = _kernels.gp_mass_numpy(X.weights, Y.weights, plan, eps)
-            b = _kernels.gp_mass_numba(X.weights, Y.weights, plan, eps)
-            assert a == pytest.approx(b, abs=1e-12)
-
-
-@needs_numba
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("uniform", [False, True])
-def test_tlb_pow_backends_agree(rng, p, uniform):
-    """Two genuinely different sweeps (global merged grid vs two-pointer
-    walk); uniform measures force breakpoint ties through both."""
-    for _ in range(5):
-        X = random_network(rng, int(rng.integers(2, 8)), uniform_measure=uniform)
-        Y = random_network(rng, int(rng.integers(2, 8)), uniform_measure=uniform)
-        qx, cx = _local_quantiles(X, "out")
-        qy, cy = _local_quantiles(Y, "out")
-        a = _kernels.tlb_pow_numpy(qx, cx, qy, cy, p)
-        b = _kernels.tlb_pow_numba(qx, cx, qy, cy, p)
-        npt.assert_allclose(a, b, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def test_backend_reports_consistently():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.HAVE_NUMBA == (_kernels.BACKEND == "numba")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.dis_pow is _kernels.dis_pow_numba
-    else:
-        assert _kernels.dis_pow is _kernels.dis_pow_numpy
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("NETGW_BACKEND", None)
-    else:
-        env["NETGW_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "import netgw; print(netgw.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_env_flag_forces_numpy():
-    proc = _backend_in_subprocess("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_flag_selects_numba():
-    proc = _backend_in_subprocess("numba")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numba"
-
-
-def test_env_flag_rejects_unknown_value():
-    proc = _backend_in_subprocess("cython")
-    assert proc.returncode != 0
-    assert "NETGW_BACKEND" in proc.stderr

@@ -1,7 +1,6 @@
 """Pairwise dissimilarity matrices, single-linkage clustering, file io."""
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,6 @@ from .ot import SinkhornConfig
 
 SYMMETRY_TOL = 1e-9
 METHODS = ("szlb", "rslb", "rflb", "rtlb_max", "entropic_gw")
-
-WORKERS_ENV = "NETGW_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,12 @@ def _pair_job(args):
         return i, j, float("nan"), f"{type(err).__name__}: {err}"
 
 
-def resolve_workers(workers=None):
-    """CLI/API worker count: explicit arg, else NETGW_WORKERS, else 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "")
-        try:
-            workers = int(raw) if raw else 1
-        except ValueError:
-            workers = 1
-    return max(1, int(workers))
-
-
 def dissimilarity_matrix(
     networks,
     method: str,
     p: float = 2.0,
     labels=None,
-    workers=None,
+    workers: int = 1,
     config: SinkhornConfig | None = None,
 ):
     """All-pairs comparison.  Returns (matrix, failure manifest).
@@ -154,7 +140,7 @@ def dissimilarity_matrix(
         for i in range(k)
         for j in range(i + 1, k)
     ]
-    workers = resolve_workers(workers)
+    workers = max(1, int(workers))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pair_job, jobs, chunksize=1))
@@ -206,48 +192,30 @@ class Dendrogram:
 def single_linkage(matrix: DissimilarityMatrix) -> Dendrogram:
     """Agglomerate by minimum inter-cluster distance.
 
+    Row and column r of the working matrix stand for the cluster whose
+    smallest leaf is r; each merge folds the higher row into the lower.
     Ties go to the pair whose smallest leaf indices are lexicographically
     first, so the merge order is deterministic.
     """
     if not matrix.complete:
         raise DomainError("matrix has missing entries; cannot cluster")
     k = matrix.n
-    if k < 2:
-        return Dendrogram(leaf_labels=matrix.labels, merges=())
-    dist = {}
-    min_leaf = {i: i for i in range(k)}
-    size = {i: 1 for i in range(k)}
-    active = set(range(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist[(i, j)] = float(matrix.D[i, j])
-
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
-
+    # only the upper triangle is read: the matrix may be 1e-9 asymmetric
+    upper = np.triu_indices(k, 1)
+    dist = np.full((k, k), np.inf)
+    dist[upper] = dist[upper[::-1]] = matrix.D[upper]
+    cluster = list(range(k))
+    size = [1] * k
     merges = []
-    next_id = k
-    while len(active) > 1:
-        best = None
-        for (a, b), d in dist.items():
-            lo = min(min_leaf[a], min_leaf[b])
-            hi = max(min_leaf[a], min_leaf[b])
-            rank = (d, lo, hi)
-            if best is None or rank < best[0]:
-                best = (rank, a, b)
-        _, a, b = best
-        h = dist.pop(key(a, b))
-        new = next_id
-        next_id += 1
-        active.discard(a)
-        active.discard(b)
-        for c in active:
-            dist[key(new, c)] = min(dist.pop(key(a, c)), dist.pop(key(b, c)))
-        active.add(new)
-        min_leaf[new] = min(min_leaf[a], min_leaf[b])
-        size[new] = size[a] + size[b]
-        low, high = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
-        merges.append((low, high, h, size[new]))
+    for step in range(k - 1):
+        # the first minimum in row-major order is the smallest (d, lo, hi)
+        lo, hi = divmod(int(np.argmin(dist)), k)
+        size[lo] += size[hi]
+        merges.append((cluster[lo], cluster[hi], float(dist[lo, hi]), size[lo]))
+        dist[lo] = dist[:, lo] = np.minimum(dist[lo], dist[hi])
+        dist[hi] = dist[:, hi] = np.inf
+        dist[lo, lo] = np.inf
+        cluster[lo] = k + step
     return Dendrogram(leaf_labels=matrix.labels, merges=tuple(merges))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .core import Coupling, MeasureNetwork, _freeze
 from .errors import DomainError
-from .invariants import ecc_pushforward, size_p, weight_pushforward
+from .invariants import _check_direction, ecc_pushforward, size_p, weight_pushforward
 from .ot import exact_ot, wasserstein_1d
 
 HIERARCHY_TOL = 1e-9
@@ -112,6 +112,7 @@ def _local_quantiles(X: MeasureNetwork, direction):
 
 
 def _tlb_pow_matrix(X, Y, p, direction):
+    _check_direction(direction)
     qx, cx = _local_quantiles(X, direction)
     qy, cy = _local_quantiles(Y, direction)
     return np.maximum(_kernels.tlb_pow(qx, cx, qy, cy, p), 0.0)
@@ -125,8 +126,6 @@ def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCos
     that follows it, which takes most of each pair's time.
     """
     p = _finite_order(p)
-    if direction not in ("out", "in"):
-        raise DomainError(f"direction must be 'out' or 'in', got {direction!r}")
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
     return TlbCostMatrix(C=pow_matrix ** (1.0 / p), direction=direction, p=p)
 
@@ -138,8 +137,6 @@ def rtlb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out"):
     (a monotone transform), then the root is taken.
     """
     p = _finite_order(p)
-    if direction not in ("out", "in"):
-        raise DomainError(f"direction must be 'out' or 'in', got {direction!r}")
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
     coupling, objective = exact_ot(pow_matrix, X.measure, Y.measure)
     return max(objective, 0.0) ** (1.0 / p), coupling

@@ -10,11 +10,11 @@ from pathlib import Path
 
 from .analysis import (
     METHODS,
+    _fmt,
     dissimilarity_matrix,
     emit_outputs,
     ingest_matrix_csv,
     load_dissimilarity_csv,
-    resolve_workers,
     single_linkage,
 )
 from .core import load_network, save_network
@@ -45,10 +45,6 @@ def _load_any(path, measure_mode):
             "subsample the network or use the library API"
         )
     return net
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _load_sbm_specs(path):
@@ -132,7 +128,7 @@ def cmd_compare(args):
         args.method,
         p=args.p,
         labels=labels,
-        workers=resolve_workers(args.workers),
+        workers=args.workers,
         config=config,
     )
     report = {
@@ -233,7 +229,7 @@ def build_parser():
     c.add_argument("--method", choices=METHODS, default="rtlb_max")
     c.add_argument("--p", type=float, default=2.0)
     c.add_argument("--lam", type=float, default=100.0, help="entropic regularizer")
-    c.add_argument("--workers", type=int, default=None)
+    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--measure", choices=("uniform", "last-row"), default="uniform")
     c.add_argument("--out", default="netgw-out")
     c.set_defaults(func=cmd_compare)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    IoError,
     MarginalMismatchError,
     MeasureNotNormalizedError,
     NonPositiveMassError,
@@ -290,8 +291,13 @@ def network_from_json(text: str) -> MeasureNetwork:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "weights" not in doc:
         raise ParseError("network JSON must be an object with 'weights'")
-    weights = doc["weights"]
-    measure = doc.get("measure")
+    try:
+        weights = np.array(doc["weights"], dtype=np.float64)
+        measure = doc.get("measure")
+        if measure is not None:
+            measure = np.array(measure, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"weights and measure must be numeric arrays: {exc}") from exc
     if measure is None:
         n = len(weights)
         measure = [1.0 / n] * n
@@ -299,11 +305,18 @@ def network_from_json(text: str) -> MeasureNetwork:
 
 
 def save_network(X: MeasureNetwork, path):
-    with open(path, "w") as fh:
-        fh.write(network_to_json(X))
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(network_to_json(X))
+            fh.write("\n")
+    except OSError as err:
+        raise IoError(f"cannot write {path}: {err}") from err
 
 
 def load_network(path) -> MeasureNetwork:
-    with open(path) as fh:
-        return network_from_json(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as err:
+        raise IoError(f"cannot read {path}: {err}") from err
+    return network_from_json(text)

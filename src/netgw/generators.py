@@ -5,7 +5,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MeasureNetwork, new_network
-from .errors import EmptyBlockError, NonSquareError, UnknownPresetError, ZeroNetworkError
+from .errors import (
+    DomainError,
+    EmptyBlockError,
+    NonSquareError,
+    UnknownPresetError,
+    ZeroNetworkError,
+)
 
 
 @dataclass(frozen=True)
@@ -31,9 +37,9 @@ class SbmSpec:
                 f"variances shape {variances.shape} != means shape {means.shape}"
             )
         if not np.all(np.isfinite(means)) or not np.all(np.isfinite(variances)):
-            raise ValueError("means and variances must be finite")
+            raise DomainError("means and variances must be finite")
         if np.any(variances < 0.0):
-            raise ValueError("variances must be >= 0")
+            raise DomainError("variances must be >= 0")
         sizes = tuple(int(s) for s in self.block_sizes)
         if len(sizes) != means.shape[0]:
             raise NonSquareError(
@@ -65,9 +71,9 @@ def cycle_network(values) -> MeasureNetwork:
     """Circulant network: weight (i, j) = values[(j - i) mod N]."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a nonempty 1D sequence")
+        raise DomainError("values must be a nonempty 1D sequence")
     if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
+        raise DomainError("values must be finite")
     n = values.size
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     return new_network(values[idx], np.full(n, 1.0 / n))
@@ -151,7 +157,7 @@ def sample_collection(specs, per_class: int, base_seed: int = 0):
     if isinstance(specs, str):
         specs = experiment_preset(specs)
     if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
+        raise DomainError(f"per_class must be >= 1, got {per_class}")
     networks, classes, labels = [], [], []
     for ci, spec in enumerate(specs):
         for k in range(per_class):

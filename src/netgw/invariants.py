@@ -40,8 +40,7 @@ def size_p(X: MeasureNetwork, p) -> float:
     p = _check_order(p)
     if np.isinf(p):
         return float(np.abs(X.weights).max())
-    outer = np.outer(X.measure, X.measure)
-    return float(np.sum(np.abs(X.weights) ** p * outer)) ** (1.0 / p)
+    return _masked_norm(X, p, None)
 
 
 @dataclass(frozen=True)

@@ -143,13 +143,13 @@ class SinkhornConfig:
 
     def __post_init__(self):
         if not (self.lam > 0.0):
-            raise ValueError("lam must be > 0")
+            raise DomainError("lam must be > 0")
         if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be > 0")
+            raise DomainError("tolerance must be > 0")
         if not (self.absorb_threshold > 1.0):
-            raise ValueError("absorb_threshold must be > 1")
+            raise DomainError("absorb_threshold must be > 1")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise DomainError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)

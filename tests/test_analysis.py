@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgw.analysis import (
     Dendrogram,
@@ -13,7 +15,6 @@ from netgw.analysis import (
     emit_outputs,
     ingest_matrix_csv,
     load_dissimilarity_csv,
-    resolve_workers,
     single_linkage,
     to_newick,
 )
@@ -159,19 +160,9 @@ def test_entropic_nonconverged_is_a_failure(monkeypatch):
 def test_parallel_matches_serial():
     serial, _ = dissimilarity_matrix(POINTS, "rtlb_max", workers=1)
     parallel, _ = dissimilarity_matrix(POINTS, "rtlb_max", workers=2)
+    clamped, _ = dissimilarity_matrix(POINTS, "rtlb_max", workers=0)  # runs serially
     npt.assert_array_equal(serial.D, parallel.D)
-
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("NETGW_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("NETGW_WORKERS", "4")
-    assert resolve_workers() == 4
-    assert resolve_workers(2) == 2  # explicit argument wins
-    monkeypatch.setenv("NETGW_WORKERS", "junk")
-    assert resolve_workers() == 1
+    npt.assert_array_equal(serial.D, clamped.D)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +220,45 @@ def test_single_linkage_heights_invariant_under_relabeling(rng):
 def test_single_linkage_trivial_sizes():
     one = DissimilarityMatrix(labels=("only",), D=np.zeros((1, 1)))
     assert single_linkage(one).merges == ()
+
+
+def _single_linkage_oracle(D):
+    """Merges by definition: clusters are leaf sets, the distance of two
+    clusters is the least D[i, j] (i < j) across them, and each step
+    takes the smallest (distance, min A, min B)."""
+    k = D.shape[0]
+    clusters = {i: {i} for i in range(k)}
+
+    def link(a, b):
+        return min(D[min(i, j), max(i, j)] for i in clusters[a] for j in clusters[b])
+
+    merges = []
+    for new in range(k, 2 * k - 1):
+        pairs = [(a, b) for a in clusters for b in clusters if min(clusters[a]) < min(clusters[b])]
+        a, b = min(pairs, key=lambda ab: (link(*ab), min(clusters[ab[0]]), min(clusters[ab[1]])))
+        h = float(link(a, b))
+        clusters[new] = clusters.pop(a) | clusters.pop(b)
+        merges.append((a, b, h, len(clusters[new])))
+    return tuple(merges)
+
+
+@st.composite
+def tied_matrices(draw):
+    k = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k))
+    D = np.triu(np.reshape(cells, (k, k)).astype(np.float64), 1)
+    D = D + D.T
+    if draw(st.booleans()):
+        # DissimilarityMatrix allows 1e-9 asymmetry; only i < j is read
+        shift = draw(st.lists(st.floats(0.0, 0.9e-9), min_size=k * k, max_size=k * k))
+        D = D + np.tril(np.reshape(shift, (k, k)), -1)
+    return DissimilarityMatrix(labels=tuple(f"n{i}" for i in range(k)), D=D)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tied_matrices())
+def test_single_linkage_property_against_oracle(m):
+    assert single_linkage(m).merges == _single_linkage_oracle(m.D)
 
 
 def test_single_linkage_rejects_missing_entries():

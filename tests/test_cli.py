@@ -215,6 +215,25 @@ def test_compare_empty_directory(tmp_path, capsys):
     assert main(["compare", str(empty), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "missing.json", "other.json"],
+        ["compare", "bad.json", "ok.json"],
+        ["compare", "ok.json", "ok.json", "--method", "entropic_gw", "--lam", "-1"],
+        ["generate", "--preset", "table1", "--per-class", "0"],
+    ],
+    ids=["missing-file", "non-numeric-weights", "negative-lam", "zero-per-class"],
+)
+def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "bad.json").write_text('{"weights": [[0, "x"], [1, 0]]}')
+    (tmp_path / "ok.json").write_text('{"weights": [[0, 1], [1, 0]]}')
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
 def test_compare_reads_csv_with_measure_row(tmp_path):
     f = tmp_path / "net.csv"
     f.write_text("0,2\n2,0\n0.5,0.5\n")

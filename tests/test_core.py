@@ -433,6 +433,12 @@ def test_network_json_errors():
         network_from_json('["weights"]')
     with pytest.raises(ParseError):
         network_from_json('{"measure": [1.0]}')
+    with pytest.raises(ParseError):
+        network_from_json('{"weights": [[0, "x"], [1, 0]]}')
+    with pytest.raises(ParseError):
+        network_from_json('{"weights": [[0, 1], [1]]}')
+    with pytest.raises(ParseError):
+        network_from_json('{"weights": [[0, 1], [1, 0]], "measure": [0.5, [0.5]]}')
 
 
 def test_network_to_json_is_loadable(fig2_triple):

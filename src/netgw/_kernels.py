@@ -8,29 +8,30 @@ builds the matrix of 1D transport costs between local distributions.
 import numpy as np
 
 
+def _quadruple_sum(wx, wy, plan, block):
+    """sum over (i,j,k,l) of block(|wx[i,k] - wy[j,l]|) plan[i,j] plan[k,l].
+
+    Loops over i only; the (k,j,l) block is vectorized, so memory stays
+    at O(m n^2) per step.
+    """
+    total = 0.0
+    for i in range(wx.shape[0]):
+        # diff[k, j, l] = |wx[i, k] - wy[j, l]|
+        diff = np.abs(wx[i][:, None, None] - wy[None, :, :])
+        s_i = np.einsum("kjl,kl->j", block(diff), plan)
+        total += float(plan[i] @ s_i)
+    return total
+
+
 def dis_pow(wx, wy, plan, p):
     """sum over (i,j,k,l) of |wx[i,k] - wy[j,l]|^p plan[i,j] plan[k,l].
 
     For p = inf this is the sup-distortion dis_sup itself, which is
-    also the limit of the p-th root of the sum.  Loops over i only; the
-    (k,j,l) block is vectorized, so memory stays at O(m n^2) per step.
+    also the limit of the p-th root of the sum.
     """
     if np.isinf(p):
         return dis_sup(wx, wy, plan)
-    m = wx.shape[0]
-    total = 0.0
-    for i in range(m):
-        # diff[k, j, l] = wx[i, k] - wy[j, l]
-        diff = np.abs(wx[i][:, None, None] - wy[None, :, :])
-        if p == 1.0:
-            block = diff
-        elif p == 2.0:
-            block = diff * diff
-        else:
-            block = diff**p
-        s_i = np.einsum("kjl,kl->j", block, plan)
-        total += float(plan[i] @ s_i)
-    return total
+    return _quadruple_sum(wx, wy, plan, lambda diff: diff**p)
 
 
 def dis_sup(wx, wy, plan):
@@ -51,15 +52,9 @@ def dis_sup(wx, wy, plan):
 
 def gp_mass(wx, wy, plan, eps):
     """mass of {(i,j,k,l) : |wx[i,k] - wy[j,l]| >= eps} under plan x plan."""
-    m = wx.shape[0]
-    total = 0.0
-    for i in range(m):
-        hit = (np.abs(wx[i][:, None, None] - wy[None, :, :]) >= eps).astype(
-            np.float64
-        )
-        s_i = np.einsum("kjl,kl->j", hit, plan)
-        total += float(plan[i] @ s_i)
-    return total
+    return _quadruple_sum(
+        wx, wy, plan, lambda diff: (diff >= eps).astype(np.float64)
+    )
 
 
 def tlb_pow(qx, cx, qy, cy, p):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import rflb, rslb, rtlb_max, szlb
-from .core import MeasureNetwork, _freeze, new_network
+from .core import MeasureNetwork, _check_order, _freeze, new_network
 from .errors import (
     DomainError,
     IoError,
@@ -81,20 +81,17 @@ def _pair_value(xi, xj, method, p, config):
         return max(rflb(xi, xj, p, "out"), rflb(xi, xj, p, "in"))
     if method == "rtlb_max":
         return rtlb_max(xi, xj, p, keep_couplings=False).rtlb_max
-    if method == "entropic_gw":
-        if p != 2.0:
-            raise DomainError("entropic_gw supports p=2 only")
-        res = entropic_gw(xi, xj, config)
-        # the value of an unconverged or aborted run is only the distortion
-        # of some coupling, not an estimate of d_{N,2}; record a failure
-        if res.inner_error is not None or not res.converged:
-            reason = res.inner_error or "the plan was still moving"
-            raise NotConvergedError(
-                f"entropic_gw stopped after {res.iterations} outer iterations: {reason}"
-            )
-        # the solver estimates d_{N,2}; the matrix convention is 2*d
-        return 2.0 * res.value
-    raise DomainError(f"unknown method {method!r}; available: {METHODS}")
+    # entropic_gw, at p=2 (dissimilarity_matrix checked both)
+    res = entropic_gw(xi, xj, config)
+    # the value of an unconverged or aborted run is only the distortion
+    # of some coupling, not an estimate of d_{N,2}; record a failure
+    if res.inner_error is not None or not res.converged:
+        reason = res.inner_error or "the plan was still moving"
+        raise NotConvergedError(
+            f"entropic_gw stopped after {res.iterations} outer iterations: {reason}"
+        )
+    # the solver estimates d_{N,2}; the matrix convention is 2*d
+    return 2.0 * res.value
 
 
 def _pair_job(args):
@@ -115,10 +112,17 @@ def dissimilarity_matrix(
 ):
     """All-pairs comparison.  Returns (matrix, failure manifest).
 
-    A pair that raises becomes a NaN entry plus a PairFailure record;
+    The method and the order p are checked before any pair runs.  A
+    pair that raises becomes a NaN entry plus a PairFailure record;
     the other pairs still complete.  workers > 1 fans the pairs out to
     a process pool.
     """
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; available: {METHODS}")
+    # szlb is the one method defined at p = inf (through size_p)
+    p = _check_order(p, finite=method != "szlb")
+    if method == "entropic_gw" and p != 2.0:
+        raise DomainError(f"entropic_gw supports p=2 only, got p={p}")
     networks = list(networks)
     if not networks:
         raise DomainError("need at least one network")
@@ -132,7 +136,6 @@ def dissimilarity_matrix(
         raise DomainError(f"{len(labels)} labels for {len(networks)} networks")
     if method == "entropic_gw" and config is None:
         config = SinkhornConfig(lam=100.0)
-    p = float(p)
 
     k = len(networks)
     jobs = [
@@ -143,7 +146,7 @@ def dissimilarity_matrix(
     workers = max(1, int(workers))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pair_job, jobs, chunksize=1))
+            results = list(pool.map(_pair_job, jobs))
     else:
         results = [_pair_job(job) for job in jobs]
 
@@ -282,38 +285,27 @@ def _parse_numeric_rows(lines, path):
     return np.array(rows, dtype=np.float64)
 
 
-def ingest_matrix_csv(path, measure_mode: str = "uniform") -> MeasureNetwork:
-    """Read a weight matrix from CSV.
+def ingest_matrix_csv(path) -> MeasureNetwork:
+    """Read a weight matrix from CSV; the shape says where the measure is.
 
-    measure_mode 'uniform' expects a square matrix; 'last-row' expects
-    one extra row holding the node measure.  A comment line containing
-    'measure=last-row' or 'measure=uniform' overrides the argument.
-    Comment lines start with '#'.
+    n rows of width n are the weights under the uniform measure; n + 1
+    rows of width n are the weights followed by one row holding the node
+    measure.  Comment lines start with '#'.
     """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
-    for raw in lines:
-        stripped = raw.strip()
-        if stripped.startswith("#") and "measure=" in stripped:
-            measure_mode = stripped.split("measure=", 1)[1].split()[0].strip()
-    if measure_mode not in ("uniform", "last-row"):
-        raise ParseError(f"{path}: unknown measure mode {measure_mode!r}", row=1, col=1)
     values = _parse_numeric_rows(lines, path)
-    if measure_mode == "last-row":
-        if values.shape[0] != values.shape[1] + 1:
-            raise NonSquareError(
-                f"{path}: expected n x n weights plus one measure row, got "
-                f"{values.shape[0]} rows of width {values.shape[1]}"
-            )
+    rows, n = values.shape
+    if rows == n + 1:
         return new_network(values[:-1], values[-1])
-    if values.shape[0] != values.shape[1]:
+    if rows != n:
         raise NonSquareError(
-            f"{path}: weight matrix must be square, got {values.shape}"
+            f"{path}: expected n rows of width n (uniform measure) or n + 1 "
+            f"(last row the measure), got {rows} rows of width {n}"
         )
-    n = values.shape[0]
     return new_network(values, np.full(n, 1.0 / n))
 
 

@@ -11,19 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Coupling, MeasureNetwork, _freeze
+from .core import Coupling, MeasureNetwork, _check_order, _freeze
 from .errors import DomainError
 from .invariants import _check_direction, ecc_pushforward, size_p, weight_pushforward
 from .ot import exact_ot, wasserstein_1d
 
 HIERARCHY_TOL = 1e-9
-
-
-def _finite_order(p):
-    p = float(p)
-    if not (p >= 1.0) or np.isinf(p):
-        raise DomainError(f"bounds require finite order p >= 1, got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def szlb(X: MeasureNetwork, Y: MeasureNetwork, p) -> float:
 
 def rflb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> float:
     """W_p between the two eccentricity pushforwards."""
-    p = _finite_order(p)
+    p = _check_order(p, finite=True)
     return wasserstein_1d(
         ecc_pushforward(X, p, direction), ecc_pushforward(Y, p, direction), p
     )
@@ -97,7 +90,7 @@ def rflb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> float:
 
 def rslb(X: MeasureNetwork, Y: MeasureNetwork, p) -> float:
     """W_p between the two weight pushforwards."""
-    p = _finite_order(p)
+    p = _check_order(p, finite=True)
     return wasserstein_1d(weight_pushforward(X), weight_pushforward(Y), p)
 
 
@@ -125,7 +118,7 @@ def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCos
     In rtlb this sweep is cheap next to the transport LP (exact_ot)
     that follows it, which takes most of each pair's time.
     """
-    p = _finite_order(p)
+    p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
     return TlbCostMatrix(C=pow_matrix ** (1.0 / p), direction=direction, p=p)
 
@@ -136,7 +129,7 @@ def rtlb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out"):
     Returns (value, optimal coupling).  The LP minimizes the p-th power
     (a monotone transform), then the root is taken.
     """
-    p = _finite_order(p)
+    p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
     coupling, objective = exact_ot(pow_matrix, X.measure, Y.measure)
     return max(objective, 0.0) ** (1.0 / p), coupling
@@ -144,7 +137,7 @@ def rtlb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out"):
 
 def rtlb_max(X: MeasureNetwork, Y: MeasureNetwork, p, keep_couplings=True) -> BoundReport:
     """Compute the full bound family; rtlb_max = max(rtlb_out, rtlb_in)."""
-    p = _finite_order(p)
+    p = _check_order(p, finite=True)
     value_out, plan_out = rtlb(X, Y, p, "out")
     value_in, plan_in = rtlb(X, Y, p, "in")
     return BoundReport(

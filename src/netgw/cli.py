@@ -18,7 +18,7 @@ from .analysis import (
     single_linkage,
 )
 from .core import load_network, save_network
-from .errors import NetgwError
+from .errors import IoError, NetgwError
 from .generators import cycle_network, sample_collection
 from .invariants import (
     eccentricity,
@@ -33,12 +33,12 @@ from .ot import SinkhornConfig
 MAX_CLI_NODES = 1000
 
 
-def _load_any(path, measure_mode):
+def _load_any(path):
     path = Path(path)
     if path.suffix.lower() == ".json":
         net = load_network(path)
     else:
-        net = ingest_matrix_csv(path, measure_mode)
+        net = ingest_matrix_csv(path)
     if net.n > MAX_CLI_NODES:
         raise NetgwError(
             f"{path}: {net.n} nodes exceeds the CLI limit of {MAX_CLI_NODES}; "
@@ -60,6 +60,8 @@ def _load_sbm_specs(path):
         raise NetgwError(f"{path}: invalid JSON: {err}") from err
     if isinstance(raw, dict):
         raw = [raw]
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise NetgwError(f"{path}: expected a spec object or a list of spec objects")
     specs = []
     for k, entry in enumerate(raw):
         try:
@@ -76,26 +78,25 @@ def _load_sbm_specs(path):
     return specs
 
 
+def _make_dir(path):
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IoError(f"cannot create directory {path}: {err}") from err
+
+
 def cmd_generate(args):
-    chosen = [x for x in (args.preset, args.cycle, args.spec) if x is not None]
-    if len(chosen) != 1:
-        print(
-            "error: pass exactly one of --preset, --spec or --cycle",
-            file=sys.stderr,
-        )
-        return 2
     out = Path(args.out)
     if args.cycle is not None:
-        values = [float(v) for v in args.cycle.split(",") if v.strip()]
-        net = cycle_network(values)
+        net = cycle_network([v for v in args.cycle.split(",") if v.strip()])
         target = out / "cycle.json" if out.suffix == "" else out
-        target.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(target.parent)
         save_network(net, target)
         print(f"wrote {target} ({net.n} nodes)")
         return 0
     specs = args.preset if args.preset else _load_sbm_specs(args.spec)
     networks, classes, labels = sample_collection(specs, args.per_class, args.seed)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     manifest = ["label,class,file"]
     for net, ci, label in zip(networks, classes, labels):
         target = out / f"{label}.json"
@@ -120,7 +121,7 @@ def _gather_inputs(paths):
 
 def cmd_compare(args):
     files = _gather_inputs(args.inputs)
-    networks = [_load_any(p, args.measure) for p in files]
+    networks = [_load_any(p) for p in files]
     labels = [p.stem for p in files]
     config = SinkhornConfig(lam=args.lam) if args.method == "entropic_gw" else None
     matrix, failures = dissimilarity_matrix(
@@ -164,7 +165,7 @@ def cmd_cluster(args):
 
 
 def cmd_invariant(args):
-    net = _load_any(args.network, args.measure)
+    net = _load_any(args.network)
     stem = Path(args.network).stem
     if args.kind == "size":
         print(_fmt(size_p(net, args.p)))
@@ -216,9 +217,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample synthetic networks")
-    g.add_argument("--preset", choices=("table1", "table3"))
-    g.add_argument("--spec", help="JSON file with block-model spec(s)")
-    g.add_argument("--cycle", help="comma separated cycle weights")
+    source = g.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=("table1", "table3"))
+    source.add_argument("--spec", help="JSON file with block-model spec(s)")
+    source.add_argument("--cycle", help="comma separated cycle weights")
     g.add_argument("--per-class", type=int, default=10)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -230,7 +232,6 @@ def build_parser():
     c.add_argument("--p", type=float, default=2.0)
     c.add_argument("--lam", type=float, default=100.0, help="entropic regularizer")
     c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--measure", choices=("uniform", "last-row"), default="uniform")
     c.add_argument("--out", default="netgw-out")
     c.set_defaults(func=cmd_compare)
 
@@ -256,7 +257,6 @@ def build_parser():
     )
     i.add_argument("--p", type=float, default=1.0)
     i.add_argument("--grid", type=int, default=512, help="curve sample count")
-    i.add_argument("--measure", choices=("uniform", "last-row"), default="uniform")
     i.add_argument("--out", default=None)
     i.set_defaults(func=cmd_invariant)
 

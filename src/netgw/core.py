@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    DomainError,
     IoError,
     MarginalMismatchError,
     MeasureNotNormalizedError,
@@ -26,6 +27,15 @@ from .errors import (
 MEASURE_SUM_TOL = 1e-12
 MEASURE_RENORM_TOL = 1e-9
 MARGINAL_TOL = 1e-9
+
+
+def _check_order(p, finite=False):
+    """p as a float; DomainError unless p >= 1 (and finite if asked)."""
+    p = float(p)
+    if not (p >= 1.0) or (finite and np.isinf(p)):
+        finite_and = "finite and " if finite else ""
+        raise DomainError(f"order p must be {finite_and}>= 1, got {p}")
+    return p
 
 
 def _freeze(a):
@@ -220,9 +230,7 @@ def distortion(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling, p) -> float:
     max over quadruples carrying positive plan mass.
     """
     _check_marginals(X, Y, mu)
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("order p must be >= 1")
+    p = _check_order(p)
     wx, wy, plan = X.weights, Y.weights, mu.plan
     if p == 2.0:
         # expansion |a-b|^2 = a^2 + b^2 - 2ab under plan (x) plan
@@ -243,7 +251,7 @@ def distortion(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling, p) -> float:
 def dnp_to_point(X: MeasureNetwork, a, p) -> float:
     """Exact GW-type distance from X to the one-node network at a."""
     a = float(a)
-    p = float(p)
+    p = _check_order(p)
     diff = np.abs(X.weights - a)
     if np.isinf(p):
         return 0.5 * float(diff.max())

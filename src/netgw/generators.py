@@ -14,6 +14,13 @@ from .errors import (
 )
 
 
+def _float_array(values, name):
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise DomainError(f"{name} must be numeric: {err}") from None
+
+
 @dataclass(frozen=True)
 class SbmSpec:
     """Block model: entry (i, j) ~ Normal(means[b(i), b(j)], variances[b(i), b(j)]).
@@ -28,8 +35,8 @@ class SbmSpec:
     name: str = ""
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
+        means = _float_array(self.means, "means")
+        variances = _float_array(self.variances, "variances")
         if means.ndim != 2 or means.shape[0] != means.shape[1]:
             raise NonSquareError(f"means must be square, got shape {means.shape}")
         if variances.shape != means.shape:
@@ -69,7 +76,7 @@ def sbm_sample(spec: SbmSpec, seed=None) -> MeasureNetwork:
 
 def cycle_network(values) -> MeasureNetwork:
     """Circulant network: weight (i, j) = values[(j - i) mod N]."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _float_array(values, "cycle values")
     if values.ndim != 1 or values.size == 0:
         raise DomainError("values must be a nonempty 1D sequence")
     if not np.all(np.isfinite(values)):

@@ -10,6 +10,7 @@ from .core import (
     Coupling,
     MeasureNetwork,
     _check_marginals,
+    _check_order,
     diagonal_coupling,
     distortion,
     new_network,
@@ -151,19 +152,10 @@ def _rounded_margin(measure, grid_k):
     # integer margin with the same total, biggest fractional parts win
     raw = measure * grid_k
     floor = np.floor(raw).astype(np.int64)
+    # the floors never sum above grid_k: the measure sums to 1 within 1e-12
     deficit = grid_k - int(floor.sum())
-    if deficit > 0:
-        for idx in np.argsort(raw - floor)[::-1][:deficit]:
-            floor[idx] += 1
-    elif deficit < 0:
-        pos = np.argsort(raw - floor)
-        take = 0
-        for idx in pos:
-            if take == -deficit:
-                break
-            if floor[idx] > 0:
-                floor[idx] -= 1
-                take += 1
+    for idx in np.argsort(raw - floor)[::-1][:deficit]:
+        floor[idx] += 1
     return floor
 
 
@@ -221,9 +213,7 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
     value is an upper bound on d_{N,p} that is exact in practice at
     these sizes.
     """
-    p = float(p)
-    if not (p >= 1.0):
-        raise DomainError(f"order must satisfy p >= 1, got {p}")
+    p = _check_order(p)
     m, n = X.n, Y.n
     if m * n > BRUTEFORCE_CELL_LIMIT:
         raise InstanceTooLargeError(

@@ -11,22 +11,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DiscreteDistribution, MeasureNetwork, _freeze, new_network
+from .core import (
+    DiscreteDistribution,
+    MeasureNetwork,
+    _check_order,
+    _freeze,
+    new_network,
+)
 from .errors import (
     DomainError,
     IndexOutOfRangeError,
     KindMismatchError,
     UnsupportedDimensionError,
 )
-
-
-def _check_order(p, allow_inf=True):
-    p = float(p)
-    if not (p >= 1.0):
-        raise DomainError(f"order p must be >= 1, got {p}")
-    if np.isinf(p) and not allow_inf:
-        raise DomainError("order p must be finite here")
-    return p
 
 
 def _check_direction(direction):
@@ -102,14 +99,14 @@ def _masked_norm(X: MeasureNetwork, p, mask):
 
 def sub_size(X: MeasureNetwork, p, t) -> float:
     """L^p mass of weights <= t (non-strict), finite p only."""
-    p = _check_order(p, allow_inf=False)
+    p = _check_order(p, finite=True)
     mask = (X.weights <= float(t)).astype(np.float64)
     return _masked_norm(X, p, mask)
 
 
 def sup_size(X: MeasureNetwork, p, t) -> float:
     """L^p mass of weights >= t (non-strict), finite p only."""
-    p = _check_order(p, allow_inf=False)
+    p = _check_order(p, finite=True)
     mask = (X.weights >= float(t)).astype(np.float64)
     return _masked_norm(X, p, mask)
 
@@ -142,7 +139,7 @@ def sphere_subsize_closed_form(n, p, t) -> float:
     n = int(n)
     if n < 1:
         raise UnsupportedDimensionError(f"sphere dimension must be >= 1, got {n}")
-    p = _check_order(p, allow_inf=False)
+    p = _check_order(p, finite=True)
     t = float(t)
     if not (0.0 <= t <= math.pi + 1e-12):
         raise DomainError(f"threshold t must lie in [0, pi], got {t}")
@@ -235,17 +232,24 @@ class SizeCurve:
         return float(self.grid[-1])
 
 
+def _check_samples(samples):
+    samples = int(samples)
+    if samples < 2:
+        raise DomainError(f"a size curve needs at least 2 samples, got {samples}")
+    return samples
+
+
 def size_curve(X: MeasureNetwork, p, kind="sublevel", grid=None, samples=512) -> SizeCurve:
     """Sample sub_size (or sup_size) on a threshold grid.
 
     Default grid: ``samples`` uniform points on [0, max weight].
     """
-    p = _check_order(p, allow_inf=False)
+    p = _check_order(p, finite=True)
     if grid is None:
         top = float(X.weights.max())
         if top <= 0.0:
             top = 1.0
-        grid = np.linspace(0.0, top, int(samples))
+        grid = np.linspace(0.0, top, _check_samples(samples))
     grid = np.asarray(grid, dtype=np.float64)
     fn = sub_size if kind == "sublevel" else sup_size
     values = np.array([fn(X, p, t) for t in grid])
@@ -254,7 +258,7 @@ def size_curve(X: MeasureNetwork, p, kind="sublevel", grid=None, samples=512) ->
 
 def sphere_subsize_curve(n, p, samples=512) -> SizeCurve:
     """Closed-form sublevel size curve of the n-sphere on [0, pi]."""
-    grid = np.linspace(0.0, math.pi, int(samples))
+    grid = np.linspace(0.0, math.pi, _check_samples(samples))
     values = np.array([sphere_subsize_closed_form(n, p, t) for t in grid])
     return SizeCurve(grid=grid, values=values, p=float(p), kind="sublevel")
 
@@ -281,6 +285,8 @@ def interleaving_distance(f: SizeCurve, g: SizeCurve, tol=1e-4) -> float:
         raise KindMismatchError(
             "interleaving distance is defined for sublevel curves"
         )
+    if not (tol > 0.0):
+        raise DomainError(f"tolerance must be > 0, got {tol}")
 
     def feasible(eps):
         return _shifted_gap(f, g, eps) <= 0.0 and _shifted_gap(g, f, eps) <= 0.0
@@ -297,6 +303,8 @@ def interleaving_distance(f: SizeCurve, g: SizeCurve, tol=1e-4) -> float:
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles, closer than tol can ask
         if feasible(mid):
             hi = mid
         else:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, vstack
 
-from .core import Coupling, DiscreteDistribution, MARGINAL_TOL
+from .core import MARGINAL_TOL, Coupling, DiscreteDistribution, _check_order
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -96,9 +96,7 @@ def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution, p):
     with the right-continuous generalized inverse
     F^-1(t) = inf{u : F(u) >= t}.
     """
-    p = float(p)
-    if not (p >= 1.0) or np.isinf(p):
-        raise DomainError(f"order p must be finite and >= 1, got {p}")
+    p = _check_order(p, finite=True)
     cw_a = a.cumulative
     cw_b = b.cumulative
     grid = np.unique(np.concatenate([cw_a, cw_b]))
@@ -186,10 +184,6 @@ class SinkhornResult:
     kernel_min: float
     kernel_max: float
     converged: bool
-
-    @property
-    def coupling(self):
-        return self.plan
 
 
 def decide_param(alpha, beta) -> float:

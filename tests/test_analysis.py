@@ -19,7 +19,13 @@ from netgw.analysis import (
     to_newick,
 )
 from netgw.core import new_network, one_point_network
-from netgw.errors import DomainError, IoError, NonSquareError, ParseError
+from netgw.errors import (
+    DomainError,
+    IoError,
+    MeasureNotNormalizedError,
+    NonSquareError,
+    ParseError,
+)
 from netgw.invariants import size_curve
 
 from conftest import random_network
@@ -91,11 +97,22 @@ def test_custom_labels_and_validation(rng):
         dissimilarity_matrix([POINTS[0], "not a network"], "szlb")
 
 
-def test_unknown_method_fails_per_pair():
-    matrix, failures = dissimilarity_matrix(POINTS, "nope")
-    assert not matrix.complete
-    assert len(failures) == 3
-    assert all("DomainError" in f.error for f in failures)
+@pytest.mark.parametrize(
+    "method, p",
+    [("nope", 2.0), ("entropic_gw", 1.0), ("rflb", 0.5), ("rtlb_max", math.inf)],
+)
+def test_sweep_arguments_checked_before_any_pair(monkeypatch, method, p):
+    import netgw.analysis as analysis
+
+    monkeypatch.setattr(analysis, "_pair_job", None)  # running a pair fails
+    with pytest.raises(DomainError):
+        dissimilarity_matrix(POINTS, method, p=p)
+
+
+def test_szlb_sweep_accepts_infinite_order():
+    matrix, failures = dissimilarity_matrix(POINTS, "szlb", p=math.inf)
+    assert failures == ()
+    npt.assert_array_equal(matrix.D, POINT_GAPS)
 
 
 def test_partial_failure_manifest(monkeypatch):
@@ -119,12 +136,6 @@ def test_partial_failure_manifest(monkeypatch):
     assert "RuntimeError: boom" in f.error
     assert math.isnan(matrix.D[0, 1])
     assert np.isfinite(matrix.D[0, 2]) and np.isfinite(matrix.D[1, 2])
-
-
-def test_entropic_rejects_other_orders():
-    _, failures = dissimilarity_matrix(POINTS, "entropic_gw", p=1.0)
-    assert len(failures) == 3
-    assert all("p=2 only" in f.error for f in failures)
 
 
 def test_entropic_inner_error_is_a_failure():
@@ -329,7 +340,12 @@ def test_ingest_uniform_square(tmp_path):
 
 def test_ingest_uniform_rejects_nonsquare(tmp_path):
     f = tmp_path / "m.csv"
+    # n + 1 rows of width n: the last row is read as a measure, here one
+    # that sums to 12
     f.write_text("0,1,2\n1,0,3\n2,3,0\n4,4,4\n")
+    with pytest.raises(MeasureNotNormalizedError):
+        ingest_matrix_csv(f)
+    f.write_text("0,1\n1,0\n2,3\n4,4\n")
     with pytest.raises(NonSquareError):
         ingest_matrix_csv(f)
 
@@ -337,17 +353,9 @@ def test_ingest_uniform_rejects_nonsquare(tmp_path):
 def test_ingest_last_row_measure(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("0,2\n2,0\n0.25,0.75\n")
-    X = ingest_matrix_csv(f, measure_mode="last-row")
+    X = ingest_matrix_csv(f)
     npt.assert_array_equal(X.weights, [[0.0, 2.0], [2.0, 0.0]])
     npt.assert_array_equal(X.measure, [0.25, 0.75])
-
-
-def test_ingest_header_overrides_mode(tmp_path):
-    f = tmp_path / "m.csv"
-    f.write_text("# measure=last-row\n0,2\n2,0\n0.5,0.5\n")
-    X = ingest_matrix_csv(f, measure_mode="uniform")
-    assert X.n == 2
-    npt.assert_array_equal(X.measure, [0.5, 0.5])
 
 
 def test_ingest_reports_cell_position(tmp_path):
@@ -368,13 +376,6 @@ def test_ingest_rejects_ragged_and_empty(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ParseError):
         ingest_matrix_csv(empty)
-
-
-def test_ingest_unknown_mode(tmp_path):
-    f = tmp_path / "m.csv"
-    f.write_text("0\n")
-    with pytest.raises(ParseError):
-        ingest_matrix_csv(f, measure_mode="first-row")
 
 
 def test_ingest_missing_file(tmp_path):

@@ -77,12 +77,14 @@ def test_generate_from_spec_file(tmp_path):
 
 def test_generate_requires_one_source(tmp_path, capsys):
     out = str(tmp_path / "gen")
-    assert main(["generate", "--out", out]) == 2
-    assert (
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--out", out])
+    assert info.value.code == 2
+    assert "one of the arguments --preset --spec --cycle" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
         main(["generate", "--preset", "table1", "--cycle", "1,2", "--out", out])
-        == 2
-    )
-    assert "exactly one" in capsys.readouterr().err
+    assert info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_generate_rejects_bad_spec_file(tmp_path, capsys):
@@ -150,29 +152,6 @@ def test_compare_entropic_uses_lam(point_dir, tmp_path):
     npt.assert_allclose(matrix.D[0, 1], 1.0, atol=1e-6)
 
 
-def test_compare_partial_failure_exits_one(point_dir, tmp_path, capsys):
-    # entropic at p=1 is unsupported, so every pair lands in the manifest
-    out = tmp_path / "cmp"
-    code = main(
-        [
-            "compare",
-            str(point_dir),
-            "--method",
-            "entropic_gw",
-            "--p",
-            "1.0",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 1
-    assert "pairs failed" in capsys.readouterr().err
-    report = json.loads((out / "report.json").read_text())
-    assert len(report["failures"]) == 3
-    matrix = load_dissimilarity_csv(out / "dissimilarity.csv")
-    assert not matrix.complete
-
-
 def test_compare_entropic_range_failure_exits_one(tmp_path, capsys):
     # the kernel range at the default lam cannot hold these weights; the
     # pair must reach the manifest, not the matrix
@@ -222,16 +201,49 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["compare", "bad.json", "ok.json"],
         ["compare", "ok.json", "ok.json", "--method", "entropic_gw", "--lam", "-1"],
         ["generate", "--preset", "table1", "--per-class", "0"],
+        ["compare", "ok.json", "ok.json", "--method", "entropic_gw", "--p", "1"],
+        ["compare", "ok.json", "ok.json", "--p", "0.5"],
+        ["generate", "--cycle", "1,x"],
+        ["generate", "--spec", "text-means.json"],
+        ["generate", "--spec", "number.json"],
+        ["generate", "--preset", "table3", "--per-class", "1", "--out", "taken"],
+        ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "0"],
+        ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "-1"],
+        ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "-1"],
+        ["invariant", "ok.json", "--kind", "subsize", "--grid", "-3"],
     ],
-    ids=["missing-file", "non-numeric-weights", "negative-lam", "zero-per-class"],
+    ids=[
+        "missing-file",
+        "non-numeric-weights",
+        "negative-lam",
+        "zero-per-class",
+        "entropic-p1",
+        "order-below-one",
+        "non-numeric-cycle",
+        "non-numeric-spec-means",
+        "spec-not-an-object",
+        "out-is-a-file",
+        "zero-tol",
+        "negative-tol",
+        "sphere-grid-below-two",
+        "curve-grid-below-two",
+    ],
 )
 def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "bad.json").write_text('{"weights": [[0, "x"], [1, 0]]}')
     (tmp_path / "ok.json").write_text('{"weights": [[0, 1], [1, 0]]}')
+    (tmp_path / "text-means.json").write_text(
+        '{"means": [["x"]], "variances": [[0]], "block_sizes": [1]}'
+    )
+    (tmp_path / "number.json").write_text("3")
+    (tmp_path / "taken").write_text("")
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--out", "o"]) == 2
+    if "--out" not in argv:
+        argv = argv + ["--out", "o"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_compare_reads_csv_with_measure_row(tmp_path):
@@ -249,8 +261,6 @@ def test_compare_reads_csv_with_measure_row(tmp_path):
             "szlb",
             "--p",
             "1.0",
-            "--measure",
-            "last-row",
             "--out",
             str(out),
         ]

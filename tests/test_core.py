@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgw import _kernels
+from netgw.bounds import rflb, rslb, rtlb, rtlb_max, szlb, tlb_cost
 from netgw.core import (
     Coupling,
     DiscreteDistribution,
@@ -21,14 +24,22 @@ from netgw.core import (
     save_network,
 )
 from netgw.errors import (
+    DomainError,
     MarginalMismatchError,
     MeasureNotNormalizedError,
     NonPositiveMassError,
     NonSquareWeightsError,
     ParseError,
 )
-from netgw.invariants import size_p
-from netgw.ot import exact_ot
+from netgw.gw import gw_bruteforce
+from netgw.invariants import (
+    eccentricity,
+    size_curve,
+    size_p,
+    sub_size,
+    weight_pushforward,
+)
+from netgw.ot import exact_ot, wasserstein_1d
 
 from conftest import random_coupling, random_network
 
@@ -281,6 +292,49 @@ def test_distortion_rejects_p_below_one(fig2_triple):
     c = product_coupling(X.measure, Y.measure)
     with pytest.raises(ValueError):
         distortion(X, Y, c, 0.5)
+
+
+_OX = new_network([[0.0, 1.0], [2.0, 0.5]], [0.4, 0.6])
+_OY = new_network([[1.0, 3.0], [0.0, 2.0]], [0.5, 0.5])
+_OPI = product_coupling(_OX.measure, _OY.measure)
+# every public function that takes an order: (call at order p, finite only)
+ORDER_CALLS = {
+    "distortion": (lambda p: distortion(_OX, _OY, _OPI, p), False),
+    "dnp_to_point": (lambda p: dnp_to_point(_OX, 1.0, p), False),
+    "size_p": (lambda p: size_p(_OX, p), False),
+    "eccentricity": (lambda p: eccentricity(_OX, p), False),
+    "sub_size": (lambda p: sub_size(_OX, p, 1.0), True),
+    "size_curve": (lambda p: size_curve(_OX, p, samples=4), True),
+    "szlb": (lambda p: szlb(_OX, _OY, p), False),
+    "rflb": (lambda p: rflb(_OX, _OY, p), True),
+    "rslb": (lambda p: rslb(_OX, _OY, p), True),
+    "tlb_cost": (lambda p: tlb_cost(_OX, _OY, p), True),
+    "rtlb": (lambda p: rtlb(_OX, _OY, p), True),
+    "rtlb_max": (lambda p: rtlb_max(_OX, _OY, p), True),
+    "wasserstein_1d": (
+        lambda p: wasserstein_1d(weight_pushforward(_OX), weight_pushforward(_OY), p),
+        True,
+    ),
+    "gw_bruteforce": (lambda p: gw_bruteforce(_OX, _OY, p), False),
+}
+BAD_ORDER_CASES = [
+    (name, p) for name in ORDER_CALLS for p in (0.5, 0.0, -1.0, math.nan)
+] + [(name, math.inf) for name, (_, finite) in ORDER_CALLS.items() if finite]
+
+
+@pytest.mark.parametrize("name, p", BAD_ORDER_CASES)
+def test_every_order_argument_is_checked(name, p):
+    call, _ = ORDER_CALLS[name]
+    with pytest.raises(DomainError):
+        call(p)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (_, finite) in ORDER_CALLS.items() if not finite]
+)
+def test_infinite_order_accepted_where_defined(name):
+    call, _ = ORDER_CALLS[name]
+    call(math.inf)
 
 
 def test_distortion_rejects_foreign_coupling(fig2_triple):

@@ -352,3 +352,29 @@ def test_interleaving_requires_sublevel(fig2_triple):
     g = size_curve(X, 1.0, kind="superlevel", samples=16)
     with pytest.raises(KindMismatchError):
         interleaving_distance(f, g)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_interleaving_rejects_nonpositive_tolerance(tol):
+    # at tol <= 0 the bisection midpoint stops moving and the loop never ends
+    grid = np.linspace(0.0, 1.0, 16)
+    f = _line_curve(np.zeros(16), grid)
+    g = _line_curve(np.full(16, 0.3), grid)
+    with pytest.raises(DomainError):
+        interleaving_distance(f, g, tol=tol)
+
+
+def test_interleaving_tolerance_below_float_spacing_returns():
+    grid = np.linspace(0.0, 1.0, 16)
+    f = _line_curve(np.zeros(16), grid)
+    g = _line_curve(np.full(16, 0.3), grid)
+    assert interleaving_distance(f, g, tol=1e-300) == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_curves_need_two_samples(fig2_triple, samples):
+    X, _, _ = fig2_triple
+    with pytest.raises(DomainError):
+        size_curve(X, 1.0, samples=samples)
+    with pytest.raises(DomainError):
+        sphere_subsize_curve(1, 1.0, samples=samples)

@@ -114,9 +114,9 @@ def _tlb_pow_matrix(X, Y, p, direction):
 def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCostMatrix:
     """Entry (i, j) is W_p(local distribution of i, local distribution of j).
 
-    All m*n entries come from the closed-form merged-quantile sweep.
-    In rtlb this sweep is cheap next to the transport LP (exact_ot)
-    that follows it, which takes most of each pair's time.
+    All m*n entries come from the closed-form merged-quantile sweep.  In
+    rtlb, exact_ot follows: an assignment on uniform measures, about as
+    costly as the sweep; otherwise a HiGHS LP that costs far more.
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
@@ -126,8 +126,8 @@ def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCos
 def rtlb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out"):
     """Minimize the L^p(coupling) norm of the TLB cost matrix.
 
-    Returns (value, optimal coupling).  The LP minimizes the p-th power
-    (a monotone transform), then the root is taken.
+    Returns (value, optimal coupling).  exact_ot (assignment or HiGHS LP)
+    minimizes the p-th power (a monotone transform), then the root is taken.
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)

@@ -69,7 +69,7 @@ def _load_sbm_specs(path):
                 SbmSpec(
                     means=entry["means"],
                     variances=entry["variances"],
-                    block_sizes=tuple(entry["block_sizes"]),
+                    block_sizes=entry["block_sizes"],
                     name=str(entry.get("name", f"c{k + 1}")),
                 )
             )

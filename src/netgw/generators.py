@@ -21,6 +21,14 @@ def _float_array(values, name):
         raise DomainError(f"{name} must be numeric: {err}") from None
 
 
+def _int_array(values, name):
+    values = _float_array(values, name)
+    whole = np.isfinite(values) & (values == np.trunc(values))
+    if values.ndim != 1 or not np.all(whole):
+        raise DomainError(f"{name} must be a list of integers, got {values.tolist()!r}")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SbmSpec:
     """Block model: entry (i, j) ~ Normal(means[b(i), b(j)], variances[b(i), b(j)]).
@@ -47,7 +55,7 @@ class SbmSpec:
             raise DomainError("means and variances must be finite")
         if np.any(variances < 0.0):
             raise DomainError("variances must be >= 0")
-        sizes = tuple(int(s) for s in self.block_sizes)
+        sizes = tuple(int(s) for s in _int_array(self.block_sizes, "block_sizes"))
         if len(sizes) != means.shape[0]:
             raise NonSquareError(
                 f"{len(sizes)} block sizes for {means.shape[0]} blocks"

@@ -26,7 +26,7 @@ from .errors import (
     ZeroSizeError,
 )
 from .invariants import eccentricity, size_p
-from .ot import SinkhornConfig, exact_ot, sinkhorn_log
+from .ot import SinkhornConfig, _transport_lp, sinkhorn_log
 
 BRUTEFORCE_CELL_LIMIT = 9
 
@@ -228,11 +228,11 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
     candidates = [np.outer(mu, nu)]
     if m == n and np.allclose(mu, nu, atol=1e-12):
         candidates.append(np.diag(mu))
-    # LP vertices for two cheap surrogate costs tend to sit near optima
+    # seeds: HiGHS vertices of two surrogate costs (exact_ot breaks ties differently)
     for direction in ("out", "in"):
         ecc_x = eccentricity(X, p if np.isfinite(p) else 2.0, direction).values
         ecc_y = eccentricity(Y, p if np.isfinite(p) else 2.0, direction).values
-        vertex, _ = exact_ot(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu)
+        vertex, _ = _transport_lp(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu)
         candidates.append(np.array(vertex.plan))
 
     row_sums = _rounded_margin(mu, grid_k)

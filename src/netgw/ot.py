@@ -1,15 +1,15 @@
 """Optimal transport solvers.
 
-Three layers: an exact LP solver for arbitrary discrete costs, closed
-form 1D transport via merged quantile breakpoints, and entropically
-regularized Sinkhorn iteration (one log-stabilized loop; the plain form
-is that loop with absorption off).
+Three layers: exact transport for arbitrary discrete costs (assignment
+for uniform measures, else the HiGHS LP), closed form 1D transport via
+merged quantile breakpoints, and entropic Sinkhorn iteration (one
+log-stabilized loop; the plain form is that loop with absorption off).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, vstack
 
 from .core import MARGINAL_TOL, Coupling, DiscreteDistribution, _check_order
@@ -42,8 +42,9 @@ def _prob_vector(v, name):
 def exact_ot(cost, mu, nu):
     """Minimize <cost, plan> over couplings of (mu, nu).
 
-    Returns (Coupling, objective).  The LP is solved exactly (HiGHS
-    dual simplex); one redundant marginal constraint is dropped.
+    Returns (Coupling, objective), exact on two routes: an assignment
+    (some permutation is optimal) when mu and nu are uniform and one size
+    divides the other, the HiGHS LP (_transport_lp) otherwise.
     """
     cost = np.asarray(cost, dtype=np.float64)
     mu = _prob_vector(mu, "mu")
@@ -56,6 +57,23 @@ def exact_ot(cost, mu, nu):
         )
     if not np.all(np.isfinite(cost)):
         raise InfeasibleError("cost must be finite")
+    small, large = sorted(cost.shape)
+    if small > 1 and large % small == 0 and np.ptp(mu) == np.ptp(nu) == 0:
+        # tile to L x L, L = large; each assigned cell carries mass 1/L
+        tiled = np.repeat(np.repeat(cost, large // m, axis=0), large // n, axis=1)
+        rows, cols = linear_sum_assignment(tiled)
+        plan = np.zeros((m, n))
+        np.add.at(plan, (rows // (large // m), cols // (large // n)), 1.0 / large)
+        return Coupling(plan, mu, nu), float(tiled[rows, cols].sum() / large)
+    # HiGHS's tolerances are absolute: solve at a power-of-two scale near 1
+    _, exponent = np.frexp(np.abs(cost).max())
+    coupling, objective = _transport_lp(np.ldexp(cost, -exponent), mu, nu)
+    return coupling, float(np.ldexp(objective, exponent))
+
+
+def _transport_lp(cost, mu, nu):
+    """HiGHS dual simplex on checked inputs, one redundant constraint dropped."""
+    m, n = cost.shape
     if m == 1:
         plan = nu[None, :].copy()
         return Coupling(plan, mu, nu), float(cost[0] @ nu)
@@ -110,21 +128,6 @@ def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution, p):
     if p == 2.0:
         return float(np.sqrt(seg @ (diff * diff)))
     return float(seg @ diff**p) ** (1.0 / p)
-
-
-def wasserstein_1d_p1(a: DiscreteDistribution, b: DiscreteDistribution):
-    """W_1 via the CDF-area formula: integral of |F - G| over the line."""
-    locs = np.unique(np.concatenate([a.atoms, b.atoms]))
-    if locs.size == 1:
-        return 0.0
-    cw_a = a.cumulative
-    cw_b = b.cumulative
-    ia = np.searchsorted(a.atoms, locs, side="right") - 1
-    ib = np.searchsorted(b.atoms, locs, side="right") - 1
-    fa = np.where(ia >= 0, cw_a[np.maximum(ia, 0)], 0.0)
-    fb = np.where(ib >= 0, cw_b[np.maximum(ib, 0)], 0.0)
-    widths = np.diff(locs)
-    return float(widths @ np.abs(fa - fb)[:-1])
 
 
 # ---------------------------------------------------------------------------

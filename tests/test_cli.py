@@ -206,6 +206,8 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["generate", "--cycle", "1,x"],
         ["generate", "--spec", "text-means.json"],
         ["generate", "--spec", "number.json"],
+        ["generate", "--spec", "text-sizes.json"],
+        ["generate", "--spec", "scalar-sizes.json"],
         ["generate", "--preset", "table3", "--per-class", "1", "--out", "taken"],
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "0"],
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "-1"],
@@ -222,6 +224,8 @@ def test_compare_empty_directory(tmp_path, capsys):
         "non-numeric-cycle",
         "non-numeric-spec-means",
         "spec-not-an-object",
+        "non-numeric-block-sizes",
+        "scalar-block-sizes",
         "out-is-a-file",
         "zero-tol",
         "negative-tol",
@@ -236,6 +240,9 @@ def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
         '{"means": [["x"]], "variances": [[0]], "block_sizes": [1]}'
     )
     (tmp_path / "number.json").write_text("3")
+    spec = '{"means": [[0, 1], [1, 0]], "variances": [[0, 0], [0, 0]], "block_sizes": %s}'
+    (tmp_path / "text-sizes.json").write_text(spec % '["x", 2]')
+    (tmp_path / "scalar-sizes.json").write_text(spec % "3")
     (tmp_path / "taken").write_text("")
     monkeypatch.chdir(tmp_path)
     if "--out" not in argv:

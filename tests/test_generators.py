@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from netgw.errors import (
+    DomainError,
     EmptyBlockError,
     NonSquareError,
     UnknownPresetError,
@@ -40,6 +41,9 @@ def test_spec_validation():
         SbmSpec(means=np.zeros((2, 2)), variances=np.zeros((2, 2)), block_sizes=(1, 1, 1))
     with pytest.raises(EmptyBlockError):
         SbmSpec(means=np.zeros((2, 2)), variances=np.zeros((2, 2)), block_sizes=(2, 0))
+    for sizes in [(1.5, 1), ("x", 1), 3, [[1, 1]], (np.nan, 1)]:
+        with pytest.raises(DomainError):
+            SbmSpec(means=np.zeros((2, 2)), variances=np.zeros((2, 2)), block_sizes=sizes)
     with pytest.raises(ValueError):
         SbmSpec(
             means=np.zeros((2, 2)),

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import linprog
 
 from netgw.core import DiscreteDistribution, product_coupling
 from netgw.errors import (
@@ -21,7 +22,6 @@ from netgw.ot import (
     sinkhorn,
     sinkhorn_log,
     wasserstein_1d,
-    wasserstein_1d_p1,
 )
 
 from conftest import random_coupling
@@ -116,6 +116,74 @@ def test_exact_ot_input_checks():
         exact_ot([[np.inf, 0.0], [0.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
 
 
+def _lp_oracle(cost, mu, nu):
+    # the full dense transport LP on the cost scaled to max |entry| 1,
+    # so HiGHS's absolute tolerances mean the same at every cost scale
+    m, n = cost.shape
+    scale = float(np.abs(cost).max()) or 1.0
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    res = linprog(
+        (cost / scale).ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([mu, nu]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun * scale
+
+
+def _route_cost(rng, kind, m, n):
+    if kind == "tied":
+        return rng.integers(0, 4, size=(m, n)).astype(float)
+    if kind == "zero":
+        return np.zeros((m, n))
+    return rng.random((m, n)) * {"tiny": 1e-6, "huge": 1e6}[kind]
+
+
+def _check_route(cost, mu, nu):
+    coupling, objective = exact_ot(cost, mu, nu)
+    plan = coupling.plan
+    assert np.all(plan >= 0.0)
+    npt.assert_allclose(plan.sum(axis=1), mu, rtol=0, atol=1e-12)
+    npt.assert_allclose(plan.sum(axis=0), nu, rtol=0, atol=1e-12)
+    floor = 1e-12 * float(np.abs(cost).max())
+    assert float(np.sum(plan * cost)) == pytest.approx(objective, rel=1e-12, abs=floor)
+    assert objective == pytest.approx(_lp_oracle(cost, mu, nu), rel=1e-9, abs=floor)
+    return plan
+
+
+@pytest.mark.parametrize("kind", ["tied", "zero", "tiny", "huge"])
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2), (5, 5), (20, 20), (50, 100), (100, 50), (10, 20)],
+    ids=lambda s: f"{s[0]}x{s[1]}",
+)
+def test_exact_ot_assignment_route_matches_lp(monkeypatch, shape, kind):
+    """Uniform measures whose sizes divide one another never reach HiGHS;
+    every plan entry is a whole number of 1/max(m, n) masses."""
+    monkeypatch.setattr("netgw.ot.linprog", None)
+    m, n = shape
+    rng = np.random.default_rng(m * 1000 + n)
+    cost = _route_cost(rng, kind, m, n)
+    plan = _check_route(cost, np.full(m, 1.0 / m), np.full(n, 1.0 / n))
+    cells = plan * max(m, n)
+    npt.assert_allclose(cells, np.round(cells), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["tied", "tiny", "huge"])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform-7x3", "weighted-5x6"])
+def test_exact_ot_lp_route_matches_oracle(monkeypatch, uniform, kind):
+    """Sizes that do not divide, or a non-uniform measure, stay on HiGHS."""
+    monkeypatch.setattr("netgw.ot.linear_sum_assignment", None)
+    rng = np.random.default_rng(43)
+    if uniform:
+        mu, nu = np.full(7, 1.0 / 7), np.full(3, 1.0 / 3)
+    else:
+        mu, nu = _random_marginals(rng, 5, 6)
+    _check_route(_route_cost(rng, kind, mu.size, nu.size), mu, nu)
+
+
 # ---------------------------------------------------------------------------
 # 1D closed form
 
@@ -149,12 +217,27 @@ def test_wasserstein_1d_split_mass(p):
     assert wasserstein_1d(a, b, p) == pytest.approx(0.5 ** (1.0 / p), abs=1e-15)
 
 
+def _cdf_area_w1(a: DiscreteDistribution, b: DiscreteDistribution):
+    """W_1 via the CDF-area formula: integral of |F - G| over the line."""
+    locs = np.unique(np.concatenate([a.atoms, b.atoms]))
+    if locs.size == 1:
+        return 0.0
+    cw_a = a.cumulative
+    cw_b = b.cumulative
+    ia = np.searchsorted(a.atoms, locs, side="right") - 1
+    ib = np.searchsorted(b.atoms, locs, side="right") - 1
+    fa = np.where(ia >= 0, cw_a[np.maximum(ia, 0)], 0.0)
+    fb = np.where(ib >= 0, cw_b[np.maximum(ib, 0)], 0.0)
+    widths = np.diff(locs)
+    return float(widths @ np.abs(fa - fb)[:-1])
+
+
 def test_wasserstein_1d_matches_cdf_area(rng):
     for _ in range(30):
         a = _random_dist(rng, int(rng.integers(1, 9)))
         b = _random_dist(rng, int(rng.integers(1, 9)))
         quantile = wasserstein_1d(a, b, 1.0)
-        area = wasserstein_1d_p1(a, b)
+        area = _cdf_area_w1(a, b)
         assert quantile == pytest.approx(area, abs=1e-12)
 
 

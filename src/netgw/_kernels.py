@@ -1,37 +1,29 @@
 """Hot numeric kernels in numpy.
 
-dis_pow, dis_sup and gp_mass sum or maximize over the quadruples
-(i, j, k, l) of two weight matrices under a plan and itself; tlb_pow
-builds the matrix of 1D transport costs between local distributions.
+dis_pow and dis_sup sum or maximize over the quadruples (i, j, k, l)
+of two weight matrices under a plan and itself; tlb_pow builds the
+matrix of 1D transport costs between local distributions.
 """
 
 import numpy as np
-
-
-def _quadruple_sum(wx, wy, plan, block):
-    """sum over (i,j,k,l) of block(|wx[i,k] - wy[j,l]|) plan[i,j] plan[k,l].
-
-    Loops over i only; the (k,j,l) block is vectorized, so memory stays
-    at O(m n^2) per step.
-    """
-    total = 0.0
-    for i in range(wx.shape[0]):
-        # diff[k, j, l] = |wx[i, k] - wy[j, l]|
-        diff = np.abs(wx[i][:, None, None] - wy[None, :, :])
-        s_i = np.einsum("kjl,kl->j", block(diff), plan)
-        total += float(plan[i] @ s_i)
-    return total
 
 
 def dis_pow(wx, wy, plan, p):
     """sum over (i,j,k,l) of |wx[i,k] - wy[j,l]|^p plan[i,j] plan[k,l].
 
     For p = inf this is the sup-distortion dis_sup itself, which is
-    also the limit of the p-th root of the sum.
+    also the limit of the p-th root of the sum.  Loops over i only; the
+    (k,j,l) block is vectorized, so memory stays at O(m n^2) per step.
     """
     if np.isinf(p):
         return dis_sup(wx, wy, plan)
-    return _quadruple_sum(wx, wy, plan, lambda diff: diff**p)
+    total = 0.0
+    for i in range(wx.shape[0]):
+        # diff[k, j, l] = |wx[i, k] - wy[j, l]|
+        diff = np.abs(wx[i][:, None, None] - wy[None, :, :])
+        s_i = np.einsum("kjl,kl->j", diff**p, plan)
+        total += float(plan[i] @ s_i)
+    return total
 
 
 def dis_sup(wx, wy, plan):
@@ -48,13 +40,6 @@ def dis_sup(wx, wy, plan):
         if val > best:
             best = val
     return best
-
-
-def gp_mass(wx, wy, plan, eps):
-    """mass of {(i,j,k,l) : |wx[i,k] - wy[j,l]| >= eps} under plan x plan."""
-    return _quadruple_sum(
-        wx, wy, plan, lambda diff: (diff >= eps).astype(np.float64)
-    )
 
 
 def tlb_pow(qx, cx, qy, cy, p):

@@ -80,7 +80,7 @@ def _pair_value(xi, xj, method, p, config):
     if method == "rflb":
         return max(rflb(xi, xj, p, "out"), rflb(xi, xj, p, "in"))
     if method == "rtlb_max":
-        return rtlb_max(xi, xj, p, keep_couplings=False).rtlb_max
+        return rtlb_max(xi, xj, p).rtlb_max
     # entropic_gw, at p=2 (dissimilarity_matrix checked both)
     res = entropic_gw(xi, xj, config)
     # the value of an unconverged or aborted run is only the distortion

@@ -135,7 +135,7 @@ def rtlb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out"):
     return max(objective, 0.0) ** (1.0 / p), coupling
 
 
-def rtlb_max(X: MeasureNetwork, Y: MeasureNetwork, p, keep_couplings=True) -> BoundReport:
+def rtlb_max(X: MeasureNetwork, Y: MeasureNetwork, p) -> BoundReport:
     """Compute the full bound family; rtlb_max = max(rtlb_out, rtlb_in)."""
     p = _check_order(p, finite=True)
     value_out, plan_out = rtlb(X, Y, p, "out")
@@ -149,6 +149,6 @@ def rtlb_max(X: MeasureNetwork, Y: MeasureNetwork, p, keep_couplings=True) -> Bo
         rtlb_in=value_in,
         rtlb_max=max(value_out, value_in),
         p=p,
-        coupling_out=plan_out if keep_couplings else None,
-        coupling_in=plan_in if keep_couplings else None,
+        coupling_out=plan_out,
+        coupling_in=plan_in,
     )

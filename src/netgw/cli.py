@@ -55,7 +55,7 @@ def _load_sbm_specs(path):
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
-        raise NetgwError(f"cannot read {path}: {err}") from err
+        raise IoError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise NetgwError(f"{path}: invalid JSON: {err}") from err
     if isinstance(raw, dict):
@@ -102,7 +102,10 @@ def cmd_generate(args):
         target = out / f"{label}.json"
         save_network(net, target)
         manifest.append(f"{label},{ci},{target.name}")
-    (out / "manifest.csv").write_text("\n".join(manifest) + "\n")
+    try:
+        (out / "manifest.csv").write_text("\n".join(manifest) + "\n")
+    except OSError as err:
+        raise IoError(f"cannot write {out / 'manifest.csv'}: {err}") from err
     source = args.preset if args.preset else args.spec
     print(f"wrote {len(networks)} networks from {source!r} to {out}")
     return 0

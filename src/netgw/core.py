@@ -9,7 +9,6 @@ far it is from being a weight-preserving map.
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -257,27 +256,6 @@ def dnp_to_point(X: MeasureNetwork, a, p) -> float:
         return 0.5 * float(diff.max())
     outer = np.outer(X.measure, X.measure)
     return 0.5 * float(np.sum(diff**p * outer)) ** (1.0 / p)
-
-
-class GpResult(NamedTuple):
-    mass: float
-    feasible: bool
-
-
-def gp_objective(X, Y, mu: Coupling, eps, alpha) -> GpResult:
-    """Evaluate the Gromov-Prokhorov feasibility test for one coupling.
-
-    Returns the plan (x) plan mass of {|omega_X - omega_Y| >= eps} and
-    whether it is at most alpha * eps.  No minimization over couplings
-    is performed.
-    """
-    _check_marginals(X, Y, mu)
-    eps = float(eps)
-    alpha = float(alpha)
-    if eps < 0.0 or alpha < 0.0:
-        raise ValueError("eps and alpha must be >= 0")
-    mass = float(_kernels.gp_mass(X.weights, Y.weights, mu.plan, eps))
-    return GpResult(mass=mass, feasible=mass <= alpha * eps)
 
 
 # ---------------------------------------------------------------------------

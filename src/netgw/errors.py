@@ -69,10 +69,6 @@ class InstanceTooLargeError(NetgwError, ValueError):
     """Problem too large for an exhaustive search."""
 
 
-class ZeroSizeError(NetgwError, ValueError):
-    """Network has zero size and cannot be rescaled."""
-
-
 class EmptyBlockError(NetgwError, ValueError):
     """Block model with an empty block."""
 

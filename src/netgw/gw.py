@@ -13,7 +13,6 @@ from .core import (
     _check_order,
     diagonal_coupling,
     distortion,
-    new_network,
     product_coupling,
 )
 from .errors import (
@@ -23,12 +22,12 @@ from .errors import (
     MarginalMismatchError,
     MaxItersExceededError,
     RangeTooWideError,
-    ZeroSizeError,
 )
 from .invariants import eccentricity, size_p
 from .ot import SinkhornConfig, _transport_lp, sinkhorn_log
 
 BRUTEFORCE_CELL_LIMIT = 9
+BRUTEFORCE_GRID = 8
 
 
 @dataclass(frozen=True)
@@ -204,14 +203,14 @@ def _repair_plan(plan, mu, nu):
     return np.maximum(fixed, 0.0)
 
 
-def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> GwResult:
+def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     """Near-exhaustive search over the coupling polytope for tiny inputs.
 
-    Enumerates every integer contingency table at resolution 1/grid_k,
-    repairs each to exact marginals, seeds a few structured candidates,
-    then polishes the best finds with SLSQP (finite p).  The returned
-    value is an upper bound on d_{N,p} that is exact in practice at
-    these sizes.
+    Enumerates every integer contingency table at resolution
+    1/BRUTEFORCE_GRID, repairs each to exact marginals, seeds a few
+    structured candidates, then polishes the best finds with SLSQP
+    (finite p).  The returned value is an upper bound on d_{N,p} that
+    is exact in practice at these sizes.
     """
     p = _check_order(p)
     m, n = X.n, Y.n
@@ -220,8 +219,6 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
             f"brute force handles at most {BRUTEFORCE_CELL_LIMIT} plan cells, "
             f"got {m}x{n}"
         )
-    if grid_k < 1:
-        raise DomainError(f"grid_k must be >= 1, got {grid_k}")
     wx, wy = X.weights, Y.weights
     mu, nu = X.measure, Y.measure
 
@@ -235,10 +232,10 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
         vertex, _ = _transport_lp(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu)
         candidates.append(np.array(vertex.plan))
 
-    row_sums = _rounded_margin(mu, grid_k)
-    col_sums = _rounded_margin(nu, grid_k)
+    row_sums = _rounded_margin(mu, BRUTEFORCE_GRID)
+    col_sums = _rounded_margin(nu, BRUTEFORCE_GRID)
     for table in _tables(row_sums, col_sums):
-        candidates.append(_repair_plan(table / grid_k, mu, nu))
+        candidates.append(_repair_plan(table / BRUTEFORCE_GRID, mu, nu))
 
     scored = sorted(
         ((float(_kernels.dis_pow(wx, wy, c, p)), i) for i, c in enumerate(candidates)),
@@ -274,26 +271,6 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p, grid_k: int = 8) -> G
     return GwResult(
         coupling=coupling, value=0.5 * dis, iterations=len(candidates), converged=True
     )
-
-
-def cosine_rescale(X: MeasureNetwork):
-    """Scale weights so the network has 2-size one; returns (network, s)
-    with s the original half-size."""
-    s = 0.5 * size_p(X, 2.0)
-    if s == 0.0:
-        raise ZeroSizeError("cannot rescale a network with zero 2-size")
-    scaled = new_network(X.weights / (2.0 * s), X.measure, labels=X.labels)
-    return scaled, s
-
-
-def lambda_rescale(cost: np.ndarray, lambda_xy: float, lambda_star: float) -> np.ndarray:
-    """Change of entropic regularizer: exp(-lambda_xy C) == exp(-lambda_star C*)
-    holds exactly when the ratio is a power of two."""
-    if not (lambda_xy > 0.0 and np.isfinite(lambda_xy)):
-        raise DomainError(f"lambda_xy must be positive and finite, got {lambda_xy}")
-    if not (lambda_star > 0.0 and np.isfinite(lambda_star)):
-        raise DomainError(f"lambda_star must be positive and finite, got {lambda_star}")
-    return np.asarray(cost, dtype=np.float64) * (lambda_xy / lambda_star)
 
 
 def cosine_rule_inner(X: MeasureNetwork, Y: MeasureNetwork, coupling: Coupling) -> float:

@@ -97,17 +97,24 @@ def _masked_norm(X: MeasureNetwork, p, mask):
     return float(np.sum(np.abs(X.weights) ** p * outer)) ** (1.0 / p)
 
 
+def _check_threshold(t):
+    t = float(t)
+    if np.isnan(t):
+        raise DomainError("threshold t must not be NaN")
+    return t
+
+
 def sub_size(X: MeasureNetwork, p, t) -> float:
     """L^p mass of weights <= t (non-strict), finite p only."""
     p = _check_order(p, finite=True)
-    mask = (X.weights <= float(t)).astype(np.float64)
+    mask = (X.weights <= _check_threshold(t)).astype(np.float64)
     return _masked_norm(X, p, mask)
 
 
 def sup_size(X: MeasureNetwork, p, t) -> float:
     """L^p mass of weights >= t (non-strict), finite p only."""
     p = _check_order(p, finite=True)
-    mask = (X.weights >= float(t)).astype(np.float64)
+    mask = (X.weights >= _check_threshold(t)).astype(np.float64)
     return _masked_norm(X, p, mask)
 
 
@@ -215,6 +222,8 @@ class SizeCurve:
             raise KindMismatchError(f"unknown curve kind {self.kind!r}")
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise DomainError("grid and values must be equal-length, size >= 2")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError("grid points must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise DomainError("grid must be strictly increasing")
         steps = np.diff(values)
@@ -285,6 +294,8 @@ def interleaving_distance(f: SizeCurve, g: SizeCurve, tol=1e-4) -> float:
         raise KindMismatchError(
             "interleaving distance is defined for sublevel curves"
         )
+    if f.p != g.p:
+        raise KindMismatchError(f"curves of orders {f.p} and {g.p} do not compare")
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be > 0, got {tol}")
 

@@ -189,19 +189,6 @@ class SinkhornResult:
     converged: bool
 
 
-def decide_param(alpha, beta) -> float:
-    """Exponent translation gamma = (alpha+beta)/4.
-
-    Centers the kernel exponents lam*(-M + 2*gamma) symmetrically in
-    [-lam*(beta-alpha)/2, +lam*(beta-alpha)/2].
-    """
-    alpha = float(alpha)
-    beta = float(beta)
-    if alpha > beta:
-        raise ValueError("alpha must be <= beta")
-    return (alpha + beta) / 4.0
-
-
 def log_initialize(cost, lam) -> KernelState:
     """Initial kernel with exponents recentered about zero.
 
@@ -217,7 +204,8 @@ def log_initialize(cost, lam) -> KernelState:
         raise ValueError("lam must be > 0")
     alpha = float(cost.min())
     beta = float(cost.max())
-    gamma = decide_param(alpha, beta)
+    # exponents lam*(-cost + 2*gamma) then lie in +-lam*(beta-alpha)/2
+    gamma = (alpha + beta) / 4.0
     half_range = lam * (beta - alpha) / 2.0
     if half_range > LOG_RANGE_LIMIT:
         raise RangeTooWideError(

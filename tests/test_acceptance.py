@@ -40,7 +40,7 @@ def test_criterion_01_one_point_exactness():
         Y = one_point_network(b)
         gap = abs(a - b)
         for p in (1.0, 2.0):
-            report = rtlb_max(X, Y, p, keep_couplings=False)
+            report = rtlb_max(X, Y, p)
             assert abs(report.rtlb_max - gap) <= 1e-12
             res = gw_bruteforce(X, Y, p)
             assert abs(res.value - gap / 2.0) <= 1e-12
@@ -53,7 +53,7 @@ def test_criterion_02_weak_isomorphism_zeros(fig2_triple):
     pairs = ((X, Y), (X, Z), (Y, Z))
     for A, B in pairs:
         for p in (1.0, 2.0):
-            report = rtlb_max(A, B, p, keep_couplings=False)
+            report = rtlb_max(A, B, p)
             for value in (report.szlb, report.rslb, report.rflb_out,
                           report.rflb_in, report.rtlb_max):
                 assert value <= 1e-9
@@ -132,7 +132,7 @@ def test_criterion_07_hierarchy_suite():
             random_coupling(rng, X.measure, Y.measure) for _ in range(100)
         ]
         for p in (1.0, 2.0):
-            report = rtlb_max(X, Y, p, keep_couplings=False)
+            report = rtlb_max(X, Y, p)
             assert report.szlb <= report.rflb_out + 1e-9
             assert report.rflb_out <= report.rtlb_out + 1e-9
             assert report.szlb <= report.rflb_in + 1e-9

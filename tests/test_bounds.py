@@ -85,7 +85,7 @@ def test_bounds_below_any_distortion(p):
     for _ in range(10):
         X = random_network(rng, int(rng.integers(2, 7)))
         Y = random_network(rng, int(rng.integers(2, 7)))
-        bound = rtlb_max(X, Y, p, keep_couplings=False).rtlb_max
+        bound = rtlb_max(X, Y, p).rtlb_max
         for _ in range(10):
             c = random_coupling(rng, X.measure, Y.measure)
             assert bound <= distortion(X, Y, c, p) + 1e-9
@@ -147,15 +147,6 @@ def test_rtlb_coupling_has_network_marginals():
     assert coupling.shape == (4, 5)
     npt.assert_allclose(coupling.plan.sum(axis=1), X.measure, atol=1e-9)
     npt.assert_allclose(coupling.plan.sum(axis=0), Y.measure, atol=1e-9)
-
-
-def test_rtlb_max_can_drop_couplings(fig2_triple):
-    X, Y, _ = fig2_triple
-    report = rtlb_max(X, Y, 2.0, keep_couplings=False)
-    assert report.coupling_out is None
-    assert report.coupling_in is None
-    full = rtlb_max(X, Y, 2.0)
-    assert full.coupling_out is not None
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,9 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "-1"],
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "-1"],
         ["invariant", "ok.json", "--kind", "subsize", "--grid", "-3"],
+        ["generate", "--preset", "table1", "--per-class", "1", "--seed", "-1"],
+        ["generate", "--preset", "table3", "--per-class", "1", "--out", "manifest-dir"],
+        ["generate", "--spec", "missing-spec.json"],
     ],
     ids=[
         "missing-file",
@@ -231,6 +234,9 @@ def test_compare_empty_directory(tmp_path, capsys):
         "negative-tol",
         "sphere-grid-below-two",
         "curve-grid-below-two",
+        "negative-seed",
+        "manifest-is-a-directory",
+        "missing-spec",
     ],
 )
 def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
@@ -244,6 +250,7 @@ def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "text-sizes.json").write_text(spec % '["x", 2]')
     (tmp_path / "scalar-sizes.json").write_text(spec % "3")
     (tmp_path / "taken").write_text("")
+    (tmp_path / "manifest-dir" / "manifest.csv").mkdir(parents=True)
     monkeypatch.chdir(tmp_path)
     if "--out" not in argv:
         argv = argv + ["--out", "o"]

@@ -14,7 +14,6 @@ from netgw.core import (
     diagonal_coupling,
     distortion,
     dnp_to_point,
-    gp_objective,
     load_network,
     network_from_json,
     network_to_json,
@@ -31,7 +30,7 @@ from netgw.errors import (
     NonSquareWeightsError,
     ParseError,
 )
-from netgw.gw import gw_bruteforce
+from netgw.gw import entropic_gw, gw_bruteforce
 from netgw.invariants import (
     eccentricity,
     size_curve,
@@ -39,7 +38,7 @@ from netgw.invariants import (
     sub_size,
     weight_pushforward,
 )
-from netgw.ot import exact_ot, wasserstein_1d
+from netgw.ot import SinkhornConfig, exact_ot, wasserstein_1d
 
 from conftest import random_coupling, random_network
 
@@ -344,6 +343,22 @@ def test_distortion_rejects_foreign_coupling(fig2_triple):
         distortion(X, Z, c, 2.0)
 
 
+@pytest.mark.parametrize("wrong_side", ["row", "col"])
+def test_coupling_of_other_measures_is_rejected(wrong_side):
+    # a valid coupling of the right shape whose marginals are not the
+    # networks' measures: it couples two other measure spaces
+    rng = np.random.default_rng(17)
+    X = random_network(rng, 3)
+    Y = random_network(rng, 4)
+    mu = np.full(3, 1.0 / 3.0) if wrong_side == "row" else X.measure
+    nu = np.full(4, 0.25) if wrong_side == "col" else Y.measure
+    c = product_coupling(mu, nu)
+    with pytest.raises(MarginalMismatchError):
+        distortion(X, Y, c, 2.0)
+    with pytest.raises(MarginalMismatchError):
+        entropic_gw(X, Y, SinkhornConfig(lam=10.0), init=c)
+
+
 # ---------------------------------------------------------------------------
 # distance to a one-node network
 
@@ -389,39 +404,6 @@ def test_dnp_matches_distortion_route():
             assert dnp_to_point(X, a, p) == pytest.approx(
                 0.5 * distortion(X, Y, c, p), abs=1e-12
             )
-
-
-# ---------------------------------------------------------------------------
-# Gromov-Prokhorov objective
-
-
-def test_gp_objective_identity_is_feasible():
-    rng = np.random.default_rng(9)
-    X = random_network(rng, 4)
-    res = gp_objective(X, X, diagonal_coupling(X.measure), 0.5, 1.0)
-    assert res.mass == 0.0
-    assert res.feasible
-
-
-def test_gp_objective_one_point_gap():
-    X = one_point_network(0.0)
-    Y = one_point_network(1.0)
-    c = product_coupling(X.measure, Y.measure)
-    res = gp_objective(X, Y, c, 0.5, 1.0)
-    assert res.mass == 1.0  # |0-1| >= 0.5 on the whole space
-    assert not res.feasible  # 1.0 > 1.0 * 0.5
-    res = gp_objective(X, Y, c, 1.5, 1.0)
-    assert res.mass == 0.0
-    assert res.feasible
-
-
-def test_gp_objective_rejects_negative_args():
-    X = one_point_network(0.0)
-    c = diagonal_coupling(X.measure)
-    with pytest.raises(ValueError):
-        gp_objective(X, X, c, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        gp_objective(X, X, c, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,12 @@ def test_sample_collection_rejects_bad_count():
         sample_collection("table3", per_class=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_sample_collection_rejects_bad_seed(seed):
+    with pytest.raises(DomainError):
+        sample_collection("table3", per_class=1, base_seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

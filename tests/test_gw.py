@@ -3,24 +3,20 @@ import numpy.testing as npt
 import pytest
 
 from netgw.bounds import rtlb_max
-from netgw.core import Coupling, distortion, new_network, one_point_network, product_coupling
+from netgw.core import Coupling, distortion, one_point_network, product_coupling
 from netgw.errors import (
     DomainError,
     InstanceTooLargeError,
     MarginalMismatchError,
-    ZeroSizeError,
 )
 from netgw.gw import (
     BRUTEFORCE_CELL_LIMIT,
     _repair_plan,
     _round_to_marginals,
-    cosine_rescale,
     cosine_rule_inner,
     entropic_gw,
     gw_bruteforce,
-    lambda_rescale,
 )
-from netgw.invariants import size_p
 from netgw.ot import SinkhornConfig
 
 from conftest import random_coupling, random_network
@@ -122,7 +118,7 @@ def test_entropic_gw_dominates_lower_bound(rng):
         X = random_network(rng, int(rng.integers(2, 6)))
         Y = random_network(rng, int(rng.integers(2, 6)))
         res = entropic_gw(X, Y, SinkhornConfig(lam=20.0), outer_iters=50)
-        bound = rtlb_max(X, Y, 2.0, keep_couplings=False).rtlb_max
+        bound = rtlb_max(X, Y, 2.0).rtlb_max
         assert 2.0 * res.value + 1e-9 >= bound
 
 
@@ -208,7 +204,7 @@ def test_bruteforce_sandwiched_by_bounds(rng):
         Y = random_network(rng, int(rng.integers(1, 4)))
         for p in (1.0, 2.0):
             res = gw_bruteforce(X, Y, p)
-            bound = rtlb_max(X, Y, p, keep_couplings=False).rtlb_max
+            bound = rtlb_max(X, Y, p).rtlb_max
             assert bound <= 2.0 * res.value + 1e-8
 
 
@@ -242,47 +238,10 @@ def test_bruteforce_argument_checks(rng):
     X = random_network(rng, 2)
     with pytest.raises(DomainError):
         gw_bruteforce(X, X, 0.5)
-    with pytest.raises(DomainError):
-        gw_bruteforce(X, X, 2.0, grid_k=0)
 
 
 # ---------------------------------------------------------------------------
-# cosine rule and rescaling
-
-
-def test_cosine_rescale_normalizes_size(rng):
-    X = random_network(rng, 5)
-    scaled, s = cosine_rescale(X)
-    assert s == pytest.approx(0.5 * size_p(X, 2.0), abs=1e-15)
-    assert size_p(scaled, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_rescale_keeps_labels():
-    X = new_network([[2.0]], [1.0], labels=["a"])
-    scaled, _ = cosine_rescale(X)
-    assert scaled.labels == ("a",)
-
-
-def test_cosine_rescale_rejects_zero_network():
-    X = new_network(np.zeros((3, 3)), np.full(3, 1 / 3))
-    with pytest.raises(ZeroSizeError):
-        cosine_rescale(X)
-
-
-def test_lambda_rescale_power_of_two_is_exact(rng):
-    cost = rng.uniform(0.0, 5.0, size=(4, 4))
-    scaled = lambda_rescale(cost, 200.0, 100.0)
-    npt.assert_array_equal(scaled, cost * 2.0)
-    # the defining identity holds bit for bit at power-of-two ratios
-    npt.assert_array_equal(np.exp(-100.0 * scaled), np.exp(-200.0 * cost))
-
-
-def test_lambda_rescale_validation(rng):
-    cost = rng.random((2, 2))
-    with pytest.raises(DomainError):
-        lambda_rescale(cost, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        lambda_rescale(cost, 1.0, np.inf)
+# cosine rule
 
 
 def test_cosine_rule_inner_is_quarter_squared_distortion(rng):

@@ -163,6 +163,15 @@ def test_sub_size_monotone_in_threshold():
     assert subs[0] == 0.0 and sups[-1] == 0.0
 
 
+def test_sub_size_threshold_nan_rejected_inf_saturates(fig2_triple):
+    X = fig2_triple[0]
+    for fn in (sub_size, sup_size):
+        with pytest.raises(DomainError):
+            fn(X, 1.0, math.nan)
+    assert sub_size(X, 2.0, math.inf) == size_p(X, 2.0)
+    assert sup_size(X, 2.0, -math.inf) == size_p(X, 2.0)
+
+
 def test_sub_size_rejects_infinite_order(fig2_triple):
     with pytest.raises(DomainError):
         sub_size(fig2_triple[0], np.inf, 1.0)
@@ -279,6 +288,16 @@ def test_size_curve_validation():
         SizeCurve(grid=[0.0, 1.0], values=[1.0, 0.0], p=1.0, kind="sublevel")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_size_curve_rejects_non_finite_grid(fig2_triple, bad):
+    with pytest.raises(DomainError):
+        SizeCurve(
+            grid=[0.0, 1.0, bad], values=[0.0, 1.0, 1.0], p=1.0, kind="sublevel"
+        )
+    with pytest.raises(DomainError):
+        size_curve(fig2_triple[0], 1.0, grid=[0.0, bad, 2.5])
+
+
 def test_sphere_subsize_curve_circle():
     curve = sphere_subsize_curve(1, 1.0, samples=64)
     npt.assert_allclose(
@@ -350,6 +369,13 @@ def test_interleaving_requires_sublevel(fig2_triple):
     X, _, _ = fig2_triple
     f = size_curve(X, 1.0, samples=16)
     g = size_curve(X, 1.0, kind="superlevel", samples=16)
+    with pytest.raises(KindMismatchError):
+        interleaving_distance(f, g)
+
+
+def test_interleaving_requires_equal_orders():
+    f = sphere_subsize_curve(1, 1.0, 64)
+    g = sphere_subsize_curve(1, 3.0, 64)
     with pytest.raises(KindMismatchError):
         interleaving_distance(f, g)
 

@@ -57,20 +57,6 @@ def test_dis_sup_against_loops(rng):
     )
 
 
-def test_gp_mass_against_loops(rng):
-    X, Y, plan = _instance(rng, 3, 4)
-    for eps in (0.0, 0.5, 3.0):
-        acc = 0.0
-        for i in range(3):
-            for j in range(4):
-                for k in range(3):
-                    for l in range(4):
-                        if abs(X.weights[i, k] - Y.weights[j, l]) >= eps:
-                            acc += plan[i, j] * plan[k, l]
-        got = _kernels.gp_mass(X.weights, Y.weights, plan, eps)
-        assert got == pytest.approx(acc, abs=1e-12)
-
-
 def test_tlb_pow_single_pair_oracle():
     # two tiny quantile rows checked by hand: atoms {0,1} w/ masses
     # (1/2,1/2) against a point at 0 -> integral of |F^-1 - G^-1| = 1/2

@@ -16,7 +16,6 @@ from netgw.ot import (
     TINY_NORMAL,
     KernelState,
     SinkhornConfig,
-    decide_param,
     exact_ot,
     log_initialize,
     sinkhorn,
@@ -264,13 +263,6 @@ def test_wasserstein_1d_rejects_bad_order():
 
 # ---------------------------------------------------------------------------
 # kernel initialization
-
-
-def test_decide_param_centers_range():
-    assert decide_param(0.0, 1000.0) == 250.0
-    assert decide_param(-2.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        decide_param(1.0, 0.0)
 
 
 def test_log_initialize_constant_cost():

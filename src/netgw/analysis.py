@@ -112,13 +112,15 @@ def dissimilarity_matrix(
 ):
     """All-pairs comparison.  Returns (matrix, failure manifest).
 
-    The method and the order p are checked before any pair runs.  A
-    pair that raises becomes a NaN entry plus a PairFailure record;
-    the other pairs still complete.  workers > 1 fans the pairs out to
-    a process pool.
+    The method, the order p and workers >= 1 are checked before any pair
+    runs.  A pair that raises becomes a NaN entry plus a PairFailure
+    record; the other pairs still complete.  workers > 1 fans the pairs
+    out to a process pool.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; available: {METHODS}")
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     # szlb is the one method defined at p = inf (through size_p)
     p = _check_order(p, finite=method != "szlb")
     if method == "entropic_gw" and p != 2.0:
@@ -143,7 +145,6 @@ def dissimilarity_matrix(
         for i in range(k)
         for j in range(i + 1, k)
     ]
-    workers = max(1, int(workers))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pair_job, jobs))
@@ -346,37 +347,26 @@ def emit_outputs(
     """
     out_dir = Path(out_dir)
     written = []
+
+    def put(name, lines):
+        target = out_dir / name
+        target.write_text("\n".join(lines) + "\n")
+        written.append(str(target))
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if matrix is not None:
-            target = out_dir / "dissimilarity.csv"
-            rows = ["# labels: " + ",".join(matrix.labels)]
-            for r in range(matrix.n):
-                rows.append(",".join(_fmt(v) for v in matrix.D[r]))
-            target.write_text("\n".join(rows) + "\n")
-            written.append(target)
+            rows = [",".join(_fmt(v) for v in row) for row in matrix.D]
+            put("dissimilarity.csv", ["# labels: " + ",".join(matrix.labels)] + rows)
         if tree is not None:
-            target = out_dir / "dendrogram.newick"
-            target.write_text(to_newick(tree) + "\n")
-            written.append(target)
-            target = out_dir / "merges.csv"
-            rows = ["left,right,height,size"]
-            for a, b, h, sz in tree.merges:
-                rows.append(f"{a},{b},{_fmt(h)},{sz}")
-            target.write_text("\n".join(rows) + "\n")
-            written.append(target)
-        if curves:
-            for name, curve in curves.items():
-                target = out_dir / f"curve_{name}.csv"
-                rows = ["t,value"]
-                for t, v in zip(curve.grid, curve.values):
-                    rows.append(f"{_fmt(t)},{_fmt(v)}")
-                target.write_text("\n".join(rows) + "\n")
-                written.append(target)
+            put("dendrogram.newick", [to_newick(tree)])
+            rows = [f"{a},{b},{_fmt(h)},{sz}" for a, b, h, sz in tree.merges]
+            put("merges.csv", ["left,right,height,size"] + rows)
+        for name, curve in (curves or {}).items():
+            rows = [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(curve.grid, curve.values)]
+            put(f"curve_{name}.csv", ["t,value"] + rows)
         if report is not None:
-            target = out_dir / "report.json"
-            target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            written.append(target)
+            put("report.json", [json.dumps(report, indent=2, sort_keys=True)])
     except OSError as err:
         raise IoError(f"cannot write under {out_dir}: {err}") from err
-    return [str(p) for p in written]
+    return written

@@ -5,6 +5,7 @@ run produced output), 2 bad input or arguments.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .analysis import (
 )
 from .core import load_network, save_network
 from .errors import IoError, NetgwError
-from .generators import cycle_network, sample_collection
+from .generators import SbmSpec, cycle_network, sample_collection
 from .invariants import (
     eccentricity,
     interleaving_distance,
@@ -48,10 +49,6 @@ def _load_any(path):
 
 
 def _load_sbm_specs(path):
-    import json
-
-    from .generators import SbmSpec
-
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
@@ -97,15 +94,16 @@ def cmd_generate(args):
     specs = args.preset if args.preset else _load_sbm_specs(args.spec)
     networks, classes, labels = sample_collection(specs, args.per_class, args.seed)
     _make_dir(out)
-    manifest = ["label,class,file"]
-    for net, ci, label in zip(networks, classes, labels):
-        target = out / f"{label}.json"
-        save_network(net, target)
-        manifest.append(f"{label},{ci},{target.name}")
+    # the manifest goes first, so a failed write leaves no network files
+    manifest = ["label,class,file"] + [
+        f"{label},{ci},{label}.json" for ci, label in zip(classes, labels)
+    ]
     try:
         (out / "manifest.csv").write_text("\n".join(manifest) + "\n")
     except OSError as err:
         raise IoError(f"cannot write {out / 'manifest.csv'}: {err}") from err
+    for net, label in zip(networks, labels):
+        save_network(net, out / f"{label}.json")
     source = args.preset if args.preset else args.spec
     print(f"wrote {len(networks)} networks from {source!r} to {out}")
     return 0

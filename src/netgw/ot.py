@@ -39,6 +39,13 @@ def _prob_vector(v, name):
     return v
 
 
+def _finite_cost(cost):
+    cost = np.asarray(cost, dtype=np.float64)
+    if not np.all(np.isfinite(cost)):
+        raise InfeasibleError("cost must be finite")
+    return cost
+
+
 def exact_ot(cost, mu, nu):
     """Minimize <cost, plan> over couplings of (mu, nu).
 
@@ -46,7 +53,7 @@ def exact_ot(cost, mu, nu):
     (some permutation is optimal) when mu and nu are uniform and one size
     divides the other, the HiGHS LP (_transport_lp) otherwise.
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = _finite_cost(cost)
     mu = _prob_vector(mu, "mu")
     nu = _prob_vector(nu, "nu")
     m, n = cost.shape
@@ -55,8 +62,6 @@ def exact_ot(cost, mu, nu):
             f"cost shape {cost.shape} does not match marginals "
             f"({mu.size}, {nu.size})"
         )
-    if not np.all(np.isfinite(cost)):
-        raise InfeasibleError("cost must be finite")
     small, large = sorted(cost.shape)
     if small > 1 and large % small == 0 and np.ptp(mu) == np.ptp(nu) == 0:
         # tile to L x L, L = large; each assigned cell carries mass 1/L
@@ -196,12 +201,10 @@ def log_initialize(cost, lam) -> KernelState:
     exponent for which every entry stays a normal double; no
     translation can help then.
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = _finite_cost(cost)
     lam = float(lam)
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost must be finite")
-    if lam <= 0.0:
-        raise ValueError("lam must be > 0")
+    if not lam > 0.0:
+        raise DomainError("lam must be > 0")
     alpha = float(cost.min())
     beta = float(cost.max())
     # exponents lam*(-cost + 2*gamma) then lie in +-lam*(beta-alpha)/2
@@ -250,12 +253,10 @@ def sinkhorn(cost, cfg: SinkhornConfig, mu, nu) -> SinkhornResult:
     sinkhorn_log for such instances.  Runs the sinkhorn_log loop from
     that kernel with absorption switched off.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    mu = _prob_vector(mu, "mu")
-    nu = _prob_vector(nu, "nu")
+    cost = _finite_cost(cost)
     with np.errstate(over="ignore", under="ignore"):
         K = np.exp(-cfg.lam * cost)
-    state = KernelState(K=K, u=np.zeros(mu.size), v=np.zeros(nu.size), gamma=0.0)
+    state = KernelState(K=K, u=np.zeros(K.shape[0]), v=np.zeros(K.shape[1]), gamma=0.0)
     return sinkhorn_log(
         cost, replace(cfg, absorb_threshold=np.inf), mu, nu, state=state
     )
@@ -269,7 +270,7 @@ def sinkhorn_log(cost, cfg: SinkhornConfig, mu, nu, state=None) -> SinkhornResul
     exp(lam * (-cost + u_i + v_j + 2*gamma)).  The kernel starts from
     ``state`` (default: log_initialize(cost, cfg.lam)).
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = _finite_cost(cost)
     mu = _prob_vector(mu, "mu")
     nu = _prob_vector(nu, "nu")
     if state is None:

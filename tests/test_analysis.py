@@ -171,9 +171,10 @@ def test_entropic_nonconverged_is_a_failure(monkeypatch):
 def test_parallel_matches_serial():
     serial, _ = dissimilarity_matrix(POINTS, "rtlb_max", workers=1)
     parallel, _ = dissimilarity_matrix(POINTS, "rtlb_max", workers=2)
-    clamped, _ = dissimilarity_matrix(POINTS, "rtlb_max", workers=0)  # runs serially
     npt.assert_array_equal(serial.D, parallel.D)
-    npt.assert_array_equal(serial.D, clamped.D)
+    for bad in (0, -3, 1.5):
+        with pytest.raises(DomainError):
+            dissimilarity_matrix(POINTS, "rtlb_max", workers=bad)
 
 
 # ---------------------------------------------------------------------------

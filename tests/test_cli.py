@@ -216,6 +216,8 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["generate", "--preset", "table1", "--per-class", "1", "--seed", "-1"],
         ["generate", "--preset", "table3", "--per-class", "1", "--out", "manifest-dir"],
         ["generate", "--spec", "missing-spec.json"],
+        ["compare", "ok.json", "ok.json", "--workers", "0"],
+        ["compare", "ok.json", "ok.json", "--workers", "-3"],
     ],
     ids=[
         "missing-file",
@@ -237,6 +239,8 @@ def test_compare_empty_directory(tmp_path, capsys):
         "negative-seed",
         "manifest-is-a-directory",
         "missing-spec",
+        "zero-workers",
+        "negative-workers",
     ],
 )
 def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
@@ -258,6 +262,7 @@ def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert not (tmp_path / "o" / "report.json").exists()
+    assert not list((tmp_path / "manifest-dir").glob("*.json"))
 
 
 def test_compare_reads_csv_with_measure_row(tmp_path):

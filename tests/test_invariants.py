@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
@@ -170,6 +173,88 @@ def test_sub_size_threshold_nan_rejected_inf_saturates(fig2_triple):
             fn(X, 1.0, math.nan)
     assert sub_size(X, 2.0, math.inf) == size_p(X, 2.0)
     assert sup_size(X, 2.0, -math.inf) == size_p(X, 2.0)
+
+
+def _masked_size(X, p, mask):
+    # one masked O(n^2) rescan per threshold: the route the binned pass
+    # replaced, kept as the reference
+    outer = np.outer(X.measure, X.measure) * mask
+    return float(np.sum(np.abs(X.weights) ** p * outer)) ** (1.0 / p)
+
+
+@st.composite
+def _network_and_thresholds(draw):
+    n = draw(st.integers(1, 6))
+    # small integers give tied weights, floats give generic ones; both signed
+    entry = st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-1.0, 1.0, allow_nan=False)
+    )
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    w = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))) * scale
+    mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    X = new_network(w.reshape(n, n), mass / mass.sum())
+    # thresholds at the weights themselves hit the <= and >= edges
+    choices = sorted(set(X.weights.ravel().tolist())) + [-math.inf, math.inf]
+    picks = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=8))
+    return X, np.array(picks)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_network_and_thresholds())
+def test_level_sizes_match_masked_rescan(case):
+    X, thresholds = case
+    grid = np.unique(thresholds[np.isfinite(thresholds)])
+    for p in (1.0, 2.0, 2.5):
+        tol = 1e-12 * size_p(X, p)
+        for t in thresholds:
+            want = _masked_size(X, p, X.weights <= t)
+            assert abs(sub_size(X, p, t) - want) <= tol
+            want = _masked_size(X, p, X.weights >= t)
+            assert abs(sup_size(X, p, t) - want) <= tol
+        if grid.size < 2:
+            continue
+        for kind, admits in (("sublevel", np.less_equal), ("superlevel", np.greater_equal)):
+            curve = size_curve(X, p, kind=kind, grid=grid)
+            want = [_masked_size(X, p, admits(X.weights, t)) for t in grid]
+            npt.assert_allclose(curve.values, want, rtol=0.0, atol=tol)
+
+
+def _circle_subsize(n, grid):
+    # p=1 sublevel size of the n-node circle, by counting distances:
+    # 2*pi*k/n occurs for 2n ordered pairs, k = 0 and k = n/2 for n
+    k = np.arange(n // 2 + 1)
+    dist = 2.0 * math.pi * k / n
+    count = np.full(k.size, 2.0 * n)
+    count[0] = n
+    if n % 2 == 0:
+        count[-1] = n
+    # grid points never fall within 1e-9 of a distance except at 0 and the top
+    inside = dist[None, :] <= grid[:, None] + 1e-9
+    return (inside * (count * dist)).sum(axis=1) / (n * n)
+
+
+def test_large_circle_curve_matches_exact_count():
+    # one running sum over all 10^6 sorted terms drifts past 1e-12 here
+    circle = sphere_discretize(1, 1000)
+    order = np.random.default_rng(7).permutation(circle.n)
+    X = new_network(circle.weights[np.ix_(order, order)], circle.measure[order])
+    curve = size_curve(X, 1.0, samples=512)
+    gap = np.abs(curve.values - _circle_subsize(1000, curve.grid)).max()
+    assert gap <= 1e-12
+
+
+def test_size_curve_memory_does_not_scale_with_nodes_times_grid():
+    # an n x s array at n = 1000, s = 100000 would take 800 MB
+    X = sphere_discretize(1, 1000)
+    grid = np.linspace(0.0, math.pi, 100_000)
+    tracemalloc.start()
+    try:
+        curve = size_curve(X, 1.0, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve.values[-1] == size_p(X, 1.0)
+    assert peak < 64e6
 
 
 def test_sub_size_rejects_infinite_order(fig2_triple):

@@ -115,6 +115,21 @@ def test_exact_ot_input_checks():
         exact_ot([[np.inf, 0.0], [0.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
 
 
+_SOLVERS = {
+    "exact_ot": exact_ot,
+    "sinkhorn": lambda cost, mu, nu: sinkhorn(cost, SinkhornConfig(lam=1.0), mu, nu),
+    "sinkhorn_log": lambda cost, mu, nu: sinkhorn_log(cost, SinkhornConfig(lam=1.0), mu, nu),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_non_finite_cost_is_infeasible(solver, bad):
+    cost = np.array([[bad, 0.0], [0.0, 0.0]])
+    with pytest.raises(InfeasibleError):
+        _SOLVERS[solver](cost, [0.5, 0.5], [0.5, 0.5])
+
+
 def _lp_oracle(cost, mu, nu):
     # the full dense transport LP on the cost scaled to max |entry| 1,
     # so HiGHS's absolute tolerances mean the same at every cost scale
@@ -294,6 +309,12 @@ def test_log_initialize_limit_is_sharp():
     outside = np.array([[0.0, 2.0 * (LOG_RANGE_LIMIT + 1e-6)]])
     with pytest.raises(RangeTooWideError):
         log_initialize(outside, 1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_log_initialize_rejects_bad_lam(lam):
+    with pytest.raises(DomainError):
+        log_initialize(np.zeros((2, 2)), lam)
 
 
 def test_kernel_state_rejects_subnormal_entries():

@@ -42,6 +42,26 @@ def dis_sup(wx, wy, plan):
     return best
 
 
+def _quantiles(q, c, g):
+    # each row's quantile function at the breakpoints g
+    return np.array([q[i, np.searchsorted(c[i], g, side="left")] for i in range(q.shape[0])])
+
+
+def _quantile_blocks(qx, cx, qy, cy, grid, seg, chunk):
+    for start in range(0, grid.size, chunk):
+        g = grid[start : start + chunk]
+        yield _quantiles(qx, cx, g), _quantiles(qy, cy, g), seg[start : start + chunk]
+
+
+def _tlb_pow_rows(qx, cx, qy, cy, grid, seg, chunk, p):
+    # direct sum of nonnegative terms, one row of the result at a time
+    out = np.zeros((qx.shape[0], qy.shape[0]))
+    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg, chunk):
+        for i in range(quant_x.shape[0]):
+            out[i] += np.abs(quant_x[i][None, :] - quant_y) ** p @ d
+    return out
+
+
 def tlb_pow(qx, cx, qy, cy, p):
     """Matrix of p-th power 1D transport costs between all row pairs.
 
@@ -52,38 +72,27 @@ def tlb_pow(qx, cx, qy, cy, p):
     """
     grid = np.unique(np.concatenate([cx.ravel(), cy.ravel()]))
     grid = grid[grid > 0.0]
-    m = qx.shape[0]
-    n = qy.shape[0]
-    out = np.zeros((m, n))
-    scale = np.zeros((m, n)) if p == 2.0 else None
     seg = np.diff(np.concatenate([[0.0], grid]))
+    m, n = qx.shape[0], qy.shape[0]
     chunk = max(256, int(8e6 // max(1, m * n)))
-    for start in range(0, grid.size, chunk):
-        g = grid[start : start + chunk]
-        d = seg[start : start + chunk]
-        quant_x = np.empty((m, g.size))
-        for i in range(m):
-            quant_x[i] = qx[i, np.searchsorted(cx[i], g, side="left")]
-        quant_y = np.empty((n, g.size))
-        for j in range(n):
-            quant_y[j] = qy[j, np.searchsorted(cy[j], g, side="left")]
-        if p == 2.0:
-            sq_x = (quant_x * quant_x) @ d
-            sq_y = (quant_y * quant_y) @ d
-            out += sq_x[:, None]
-            out += sq_y[None, :]
-            out -= 2.0 * ((quant_x * d) @ quant_y.T)
-            scale += sq_x[:, None]
-            scale += sq_y[None, :]
-        else:
-            for i in range(m):
-                out[i] += np.abs(quant_x[i][None, :] - quant_y) ** p @ d
-    if p == 2.0:
-        # the expansion cancels catastrophically near zero; entries below
-        # its noise floor are resummed as nonnegative terms (exact at 0)
-        floor = 64.0 * np.finfo(np.float64).eps * scale
-        for i, j in np.argwhere(out <= floor):
-            fx = qx[i, np.searchsorted(cx[i], grid, side="left")]
-            fy = qy[j, np.searchsorted(cy[j], grid, side="left")]
-            out[i, j] = ((fx - fy) * (fx - fy)) @ seg
+    if p != 2.0:
+        return _tlb_pow_rows(qx, cx, qy, cy, grid, seg, chunk, p)
+    out = np.zeros((m, n))
+    scale = np.zeros((m, n))
+    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg, chunk):
+        sq_x = (quant_x * quant_x) @ d
+        sq_y = (quant_y * quant_y) @ d
+        out += sq_x[:, None]
+        out += sq_y[None, :]
+        out -= 2.0 * ((quant_x * d) @ quant_y.T)
+        scale += sq_x[:, None]
+        scale += sq_y[None, :]
+    # the expansion cancels catastrophically near zero; entries below its
+    # noise floor are resummed as nonnegative terms (exact at 0), a whole
+    # row at a time, since matching inputs flag most of the matrix
+    flagged = out <= 64.0 * np.finfo(np.float64).eps * scale
+    rows = np.flatnonzero(flagged.any(axis=1))
+    if rows.size:
+        exact = _tlb_pow_rows(qx[rows], cx[rows], qy, cy, grid, seg, chunk, 2.0)
+        out[rows] = np.where(flagged[rows], exact, out[rows])
     return out

@@ -267,7 +267,7 @@ def network_to_json(X: MeasureNetwork) -> str:
         "weights": X.weights.tolist(),
         "measure": X.measure.tolist(),
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def network_from_json(text: str) -> MeasureNetwork:

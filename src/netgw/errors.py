@@ -37,7 +37,8 @@ class MaxItersExceededError(NetgwError, RuntimeError):
     """Iteration limit reached before convergence.
 
     Carries the last iterate in ``partial`` so callers can inspect or
-    reuse it.
+    reuse it.  For the Sinkhorn solvers that is the iterate rounded onto
+    (mu, nu), or None when it is non-finite or all zero.
     """
 
     def __init__(self, message, partial=None):

@@ -1,4 +1,4 @@
-"""Network GW distance: entropic solver, tiny exact search, cosine rule."""
+"""Network GW distance: entropic solver, tiny near-exhaustive search, cosine rule."""
 
 from dataclasses import dataclass
 
@@ -24,7 +24,7 @@ from .errors import (
     RangeTooWideError,
 )
 from .invariants import eccentricity, size_p
-from .ot import SinkhornConfig, _transport_lp, sinkhorn_log
+from .ot import SinkhornConfig, _round_to_marginals, _transport_lp, sinkhorn_log
 
 BRUTEFORCE_CELL_LIMIT = 9
 BRUTEFORCE_GRID = 8
@@ -53,22 +53,6 @@ def _linearized_cost(wx, wy, ex, ey, plan):
     # M(i,j) = sum_{k,l} (wx[i,k] - wy[j,l])^2 plan[k,l], expanded so the
     # cross term is two matmuls; ex/ey are the plan-independent squares
     return ex[:, None] + ey[None, :] - 2.0 * (wx @ plan @ wy.T)
-
-
-def _round_to_marginals(plan, mu, nu):
-    """Shrink rows/columns onto the prescribed marginals, then add a
-    rank-one correction carrying the leftover mass.  Keeps entries
-    nonnegative and lands exactly on (mu, nu)."""
-    rows = plan.sum(axis=1)
-    plan = plan * np.minimum(mu / np.where(rows > 0.0, rows, 1.0), 1.0)[:, None]
-    cols = plan.sum(axis=0)
-    plan = plan * np.minimum(nu / np.where(cols > 0.0, cols, 1.0), 1.0)[None, :]
-    er = np.maximum(mu - plan.sum(axis=1), 0.0)
-    ec = np.maximum(nu - plan.sum(axis=0), 0.0)
-    total = er.sum()
-    if total > 0.0:
-        plan = plan + np.outer(er, ec) / total
-    return plan
 
 
 def _initial_plan(X, Y, init):
@@ -116,19 +100,18 @@ def entropic_gw(
     for iterations in range(1, outer_iters + 1):
         cost = _linearized_cost(wx, wy, ex, ey, plan)
         try:
-            raw = np.array(sinkhorn_log(cost, config, X.measure, Y.measure).plan.plan)
+            new_plan = sinkhorn_log(cost, config, X.measure, Y.measure).plan.plan
         except MaxItersExceededError as err:
-            # a stalled inner solve still carries a usable plan; round
-            # it onto the marginals and keep alternating
+            # a stalled inner solve still carries a usable plan, already
+            # rounded onto the marginals; keep alternating from it
             if err.partial is None or err.partial.plan is None:
                 inner_error = "inner solver diverged"
                 break
-            raw = np.array(err.partial.plan.plan)
+            new_plan = err.partial.plan.plan
             inner_stalls += 1
         except (KernelUnderflowError, RangeTooWideError) as err:
             inner_error = f"{type(err).__name__}: {err}"
             break
-        new_plan = _round_to_marginals(raw, X.measure, Y.measure)
         delta = np.abs(new_plan - plan).sum()
         plan = new_plan
         if delta <= plan_tol:
@@ -186,31 +169,14 @@ def _tables(row_sums, col_sums):
     yield from rec(0)
 
 
-def _repair_plan(plan, mu, nu):
-    """Project to exact marginals, then mix toward the product coupling
-    until every entry is nonnegative again."""
-    m, n = plan.shape
-    a = mu - plan.sum(axis=1)
-    b = nu - plan.sum(axis=0)
-    fixed = plan + a[:, None] / n + b[None, :] / m - a.sum() / (m * n)
-    low = fixed.min()
-    if low < 0.0:
-        prod = np.outer(mu, nu)
-        gap = prod - fixed
-        neg = fixed < 0.0
-        theta = min(1.0, np.max(-fixed[neg] / gap[neg]) + 1e-15)
-        fixed = (1.0 - theta) * fixed + theta * prod
-    return np.maximum(fixed, 0.0)
-
-
 def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     """Near-exhaustive search over the coupling polytope for tiny inputs.
 
-    Enumerates every integer contingency table at resolution
-    1/BRUTEFORCE_GRID, repairs each to exact marginals, seeds a few
-    structured candidates, then polishes the best finds with SLSQP
-    (finite p).  The returned value is an upper bound on d_{N,p} that
-    is exact in practice at these sizes.
+    Rounds every integer contingency table at resolution 1/BRUTEFORCE_GRID
+    onto (mu, nu), adds a few structured seeds, and polishes the best with
+    SLSQP (finite p), rounding again.  The value is the distortion of a
+    coupling: an upper bound on d_{N,p}, not exact, that can sit above it
+    when no table lies near an optimal coupling.
     """
     p = _check_order(p)
     m, n = X.n, Y.n
@@ -235,7 +201,7 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     row_sums = _rounded_margin(mu, BRUTEFORCE_GRID)
     col_sums = _rounded_margin(nu, BRUTEFORCE_GRID)
     for table in _tables(row_sums, col_sums):
-        candidates.append(_repair_plan(table / BRUTEFORCE_GRID, mu, nu))
+        candidates.append(_round_to_marginals(table / BRUTEFORCE_GRID, mu, nu))
 
     scored = sorted(
         ((float(_kernels.dis_pow(wx, wy, c, p)), i) for i, c in enumerate(candidates)),
@@ -247,7 +213,9 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     if np.isfinite(p):
         constraints = [
             {"type": "eq", "fun": lambda v: v.reshape(m, n).sum(axis=1) - mu},
-            {"type": "eq", "fun": lambda v: v.reshape(m, n).sum(axis=0) - nu},
+            # the last column sum follows from the others, and SLSQP
+            # stalls at its start point under a redundant equality
+            {"type": "eq", "fun": lambda v: v.reshape(m, n)[:, :-1].sum(axis=0) - nu[:-1]},
         ]
         bounds = [(0.0, 1.0)] * (m * n)
         for _, idx in scored[:10]:
@@ -261,7 +229,7 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
             )
             if not res.success:
                 continue
-            polished = _repair_plan(res.x.reshape(m, n), mu, nu)
+            polished = _round_to_marginals(res.x.reshape(m, n), mu, nu)
             value = float(_kernels.dis_pow(wx, wy, polished, p))
             if value < best_pow:
                 best_pow, best_plan = value, polished

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netgw.core import Coupling, MeasureNetwork, new_network
-from netgw.gw import _round_to_marginals
+from netgw.ot import _round_to_marginals
 
 _ACCEPTANCE = {}
 

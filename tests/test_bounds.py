@@ -126,6 +126,38 @@ def test_tlb_cost_matches_local_1d_transport():
                         assert C[i, j] == pytest.approx(expect, abs=1e-10)
 
 
+def test_tlb_cost_p2_matches_direct_sum_on_permuted_copy():
+    """A permuted copy matches most local distributions, so the p=2
+    kernel resums most rows (two rows of the copy are moved off so that
+    some are not); every entry must match a direct sum of squared
+    quantile gaps within 64 eps times their second moments."""
+    rng = np.random.default_rng(79)
+    n = 12
+    eps = np.finfo(np.float64).eps
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        weights = scale * rng.integers(-2, 3, size=(n, n)).astype(float)
+        measure = rng.random(n) + 0.1
+        X = new_network(weights, measure / measure.sum())
+        perm = rng.permutation(n)
+        copy = weights[np.ix_(perm, perm)]
+        copy[:2] += 0.5 * scale
+        Y = new_network(copy, X.measure[perm])
+        for direction in ("out", "in"):
+            C = tlb_cost(X, Y, 2.0, direction).C
+            for i in range(n):
+                a = local_distribution(X, i, direction)
+                for j in range(n):
+                    b = local_distribution(Y, j, direction)
+                    grid = np.unique(np.concatenate([a.cumulative, b.cumulative]))
+                    grid = grid[grid > 0.0]
+                    qa = a.atoms[np.searchsorted(a.cumulative, grid, side="left")]
+                    qb = b.atoms[np.searchsorted(b.cumulative, grid, side="left")]
+                    seg = np.diff(np.concatenate([[0.0], grid]))
+                    direct = np.sum(seg * (qa - qb) ** 2)
+                    moments = np.sum(seg * (qa * qa + qb * qb))
+                    assert abs(C[i, j] ** 2 - direct) <= 64.0 * eps * moments
+
+
 def test_tlb_cost_in_equals_out_of_transpose():
     rng = np.random.default_rng(71)
     X = random_network(rng, 4)

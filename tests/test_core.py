@@ -447,12 +447,15 @@ def test_cumulative_ends_at_exactly_one():
 def test_network_json_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     X = random_network(rng, 5)
-    X = new_network(X.weights, X.measure, labels=list("abcde"))
+    weights = X.weights * np.logspace(-12, 12, 5)[:, None]
+    weights[0, 0] = -0.0
+    X = new_network(weights, X.measure, labels=list("abcde"))
     path = tmp_path / "net.json"
     save_network(X, path)
+    assert len(path.read_text().splitlines()) == 1
     Y = load_network(path)
-    npt.assert_array_equal(X.weights, Y.weights)
-    npt.assert_array_equal(X.measure, Y.measure)
+    assert X.weights.tobytes() == Y.weights.tobytes()
+    assert X.measure.tobytes() == Y.measure.tobytes()
     assert X.labels == Y.labels
 
 

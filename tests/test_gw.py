@@ -3,7 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from netgw.bounds import rtlb_max
-from netgw.core import Coupling, distortion, one_point_network, product_coupling
+from netgw.core import (
+    Coupling,
+    distortion,
+    new_network,
+    one_point_network,
+    product_coupling,
+)
 from netgw.errors import (
     DomainError,
     InstanceTooLargeError,
@@ -11,13 +17,11 @@ from netgw.errors import (
 )
 from netgw.gw import (
     BRUTEFORCE_CELL_LIMIT,
-    _repair_plan,
-    _round_to_marginals,
     cosine_rule_inner,
     entropic_gw,
     gw_bruteforce,
 )
-from netgw.ot import SinkhornConfig
+from netgw.ot import SinkhornConfig, _round_to_marginals
 
 from conftest import random_coupling, random_network
 
@@ -29,13 +33,16 @@ CFG = SinkhornConfig(lam=50.0, max_iters=5000)
 
 
 def test_round_to_marginals_exact(rng):
-    for _ in range(20):
+    for k in range(40):
         m, n = rng.integers(1, 7, size=2)
         mu = rng.random(m) + 0.1
         mu /= mu.sum()
         nu = rng.random(n) + 0.1
         nu /= nu.sum()
-        plan = _round_to_marginals(rng.random((m, n)), mu, nu)
+        raw = rng.random((m, n))
+        if k >= 20:  # a coupling plus noise that breaks marginals and signs
+            raw = random_coupling(rng, mu, nu).plan + rng.normal(scale=0.02, size=(m, n))
+        plan = _round_to_marginals(raw, mu, nu)
         assert np.all(plan >= 0.0)
         assert np.abs(plan.sum(axis=1) - mu).max() <= 1e-14
         assert np.abs(plan.sum(axis=0) - nu).max() <= 1e-14
@@ -53,28 +60,10 @@ def test_round_to_marginals_keeps_valid_plans(rng):
     nu = np.array([0.3, 0.7])
     plan = np.array(product_coupling(mu, nu).plan)
     npt.assert_array_equal(_round_to_marginals(plan, mu, nu), plan)
-
-
-def test_repair_plan_properties(rng):
-    for _ in range(20):
-        m, n = rng.integers(2, 6, size=2)
-        mu = rng.random(m) + 0.1
-        mu /= mu.sum()
-        nu = rng.random(n) + 0.1
-        nu /= nu.sum()
-        base = random_coupling(rng, mu, nu).plan
-        noisy = base + rng.normal(scale=0.02, size=base.shape)
-        fixed = _repair_plan(noisy, mu, nu)
-        assert np.all(fixed >= 0.0)
-        assert np.abs(fixed.sum(axis=1) - mu).max() <= 1e-12
-        assert np.abs(fixed.sum(axis=0) - nu).max() <= 1e-12
-
-
-def test_repair_plan_is_identity_on_couplings(rng):
     mu = np.array([0.5, 0.5])
     nu = np.array([0.2, 0.3, 0.5])
     plan = np.array(random_coupling(rng, mu, nu).plan)
-    npt.assert_allclose(_repair_plan(plan, mu, nu), plan, atol=1e-15)
+    npt.assert_allclose(_round_to_marginals(plan, mu, nu), plan, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +195,47 @@ def test_bruteforce_sandwiched_by_bounds(rng):
             res = gw_bruteforce(X, Y, p)
             bound = rtlb_max(X, Y, p).rtlb_max
             assert bound <= 2.0 * res.value + 1e-8
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_bruteforce_closes_sandwich_on_skewed_pair(p):
+    # rtlb_max / 2 is d_N here, and the oracle's upper bound must reach it
+    # although both measures are off the 1/8 grid of its tables
+    X = new_network([[1000.0, 0.0], [1000.0, 0.0]], [0.2, 0.8])
+    Y = new_network(
+        [[1000.0, 0.0, 0.0], [0.0, 0.0, -1000.0], [1000.0, 0.0, 0.0]], [0.2, 0.5, 0.3]
+    )
+    value = gw_bruteforce(X, Y, p).value
+    if np.isinf(p):
+        assert value <= 500.0
+    else:
+        assert value <= 0.5 * rtlb_max(X, Y, p).rtlb_max * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_bruteforce_exact_on_two_by_two(rng, p):
+    # the couplings of two 2-point measures form a segment, on which
+    # dis_p^p is a quadratic in the top-left entry t: its minimum is at
+    # an end or at the apex
+    for _ in range(20):
+        X = random_network(rng, 2)
+        Y = random_network(rng, 2)
+        mu, nu = X.measure, Y.measure
+        lo, hi = max(0.0, mu[0] + nu[0] - 1.0), min(mu[0], nu[0])
+        gap = np.abs(X.weights[:, None, :, None] - Y.weights[None, :, None, :]) ** p
+
+        def dis_pow(t):
+            plan = np.array([[t, mu[0] - t], [nu[0] - t, mu[1] - nu[0] + t]])
+            return float(np.einsum("ijkl,ij,kl->", gap, plan, plan))
+
+        ends = dis_pow(lo), dis_pow(0.5 * (lo + hi)), dis_pow(hi)
+        curve = 2.0 * (ends[0] - 2.0 * ends[1] + ends[2])
+        slope = -3.0 * ends[0] + 4.0 * ends[1] - ends[2]
+        best = min(ends[0], ends[2])
+        if curve > 0.0 and 0.0 < -slope / (2.0 * curve) < 1.0:
+            best = min(best, dis_pow(lo - slope / (2.0 * curve) * (hi - lo)))
+        value = gw_bruteforce(X, Y, p).value
+        assert value == pytest.approx(0.5 * best ** (1.0 / p), rel=1e-9)
 
 
 def test_bruteforce_not_above_entropic(rng):

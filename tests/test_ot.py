@@ -384,7 +384,12 @@ def test_sinkhorn_max_iters_carries_partial(rng):
     assert not partial.converged
     assert partial.iterations == 2
     assert partial.plan is not None
-    assert np.all(partial.plan.plan >= 0.0)
+    plan = partial.plan.plan
+    assert np.all(plan >= 0.0)
+    # the raw iterate misses the marginals; the partial plan is rounded onto them
+    assert partial.marginal_error > 1e-3
+    assert np.abs(plan.sum(axis=1) - mu).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - nu).max() <= 1e-12
 
 
 def test_sinkhorn_log_agrees_with_plain(rng):
@@ -431,11 +436,13 @@ def test_sinkhorn_log_accepts_prepared_state(rng):
 
 
 def test_sinkhorn_marginals_within_tolerance(rng):
-    for _ in range(5):
-        cost = rng.uniform(0.0, 3.0, size=(5, 4))
-        mu, nu = _random_marginals(rng, 5, 4)
-        res = sinkhorn_log(cost, SinkhornConfig(lam=20.0), mu, nu)
-        plan = res.plan.plan
-        assert np.abs(plan.sum(axis=1) - mu).max() <= 1e-9
-        assert np.abs(plan.sum(axis=0) - nu).max() <= 1e-9
-        assert np.all(plan >= 0.0)
+    # the returned plan is a coupling of (mu, nu) however loose the stop
+    for tolerance in (1e-9, 1e-4):
+        for _ in range(5):
+            cost = rng.uniform(0.0, 3.0, size=(5, 4))
+            mu, nu = _random_marginals(rng, 5, 4)
+            cfg = SinkhornConfig(lam=20.0, tolerance=tolerance)
+            plan = sinkhorn_log(cost, cfg, mu, nu).plan.plan
+            assert np.abs(plan.sum(axis=1) - mu).max() <= 1e-9
+            assert np.abs(plan.sum(axis=0) - nu).max() <= 1e-9
+            assert np.all(plan >= 0.0)

@@ -1,6 +1,7 @@
 """Pairwise dissimilarity matrices, single-linkage clustering, file io."""
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -8,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import rflb, rslb, rtlb_max, szlb
+from .bounds import NetworkSummary, rflb, rslb, rtlb_max, szlb
 from .core import MeasureNetwork, _check_order, _freeze, new_network
 from .errors import (
     DomainError,
@@ -94,10 +95,30 @@ def _pair_value(xi, xj, method, p, config):
     return 2.0 * res.value
 
 
-def _pair_job(args):
-    i, j, xi, xj, method, p, config = args
+# the sweep a pool worker serves: set once per worker by _start_worker,
+# gone with the worker when the pool shuts down
+_worker_sweep = None
+
+
+def _start_worker(sweep):
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _pair_job(job, sweep=None):
+    """(i, j, value, error) of the pair job = (i, j) of sweep.
+
+    sweep is (items, method, p, config); a pool worker passes none and
+    reads the sweep its initializer set.
+    """
+    i, j = job
+    items, method, p, config = _worker_sweep if sweep is None else sweep
     try:
-        return i, j, float(_pair_value(xi, xj, method, p, config)), None
+        value = float(_pair_value(items[i], items[j], method, p, config))
+        if not math.isfinite(value):
+            # an overflowed invariant gives inf or nan; neither is a distance
+            raise DomainError(f"{method} value is {value}, not finite")
+        return i, j, value, None
     except Exception as err:  # manifest entry, never abort the sweep
         return i, j, float("nan"), f"{type(err).__name__}: {err}"
 
@@ -113,9 +134,14 @@ def dissimilarity_matrix(
     """All-pairs comparison.  Returns (matrix, failure manifest).
 
     The method, the order p and workers >= 1 are checked before any pair
-    runs.  A pair that raises becomes a NaN entry plus a PairFailure
-    record; the other pairs still complete.  workers > 1 fans the pairs
-    out to a process pool.
+    runs.  A pair that raises, or whose value is not finite, becomes a
+    NaN entry plus a PairFailure record; the other pairs still complete.
+    For the bounds, each network of a sweep over more than two networks
+    is wrapped once in a NetworkSummary, so its invariants are built
+    once, not once per pair.  workers > 1 sends the networks (or their
+    summaries) to each worker of a process pool once, when the worker
+    starts, and then the pairs as (i, j) index chunks, a few per worker;
+    each worker builds the invariants it needs on first use.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; available: {METHODS}")
@@ -140,16 +166,23 @@ def dissimilarity_matrix(
         config = SinkhornConfig(lam=100.0)
 
     k = len(networks)
-    jobs = [
-        (i, j, networks[i], networks[j], method, p, config)
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pair_job, jobs))
+    items = networks
+    if method != "entropic_gw" and k > 2:
+        # a network in more than one pair is summarized once; with k = 2
+        # nothing is reused, and kept quantiles would only add memory
+        items = [NetworkSummary(net) for net in networks]
+    sweep = (items, method, p, config)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    if workers > 1 and len(pairs) > 1:
+        # the sweep reaches each worker once; the pairs go in a few chunks
+        # per worker, and each worker builds the summaries it reads
+        chunksize = -(-len(pairs) // (4 * workers))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(sweep,)
+        ) as pool:
+            results = list(pool.map(_pair_job, pairs, chunksize=chunksize))
     else:
-        results = [_pair_job(job) for job in jobs]
+        results = [_pair_job(pair, sweep) for pair in pairs]
 
     D = np.zeros((k, k))
     failures = []

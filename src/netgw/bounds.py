@@ -4,6 +4,8 @@ The chain, cheapest to sharpest: szlb (size difference) <= rflb
 (eccentricity pushforwards) <= rtlb (OT over a matrix of 1D transport
 costs between local weight distributions).  rslb (weight pushforwards)
 is a separate member of the family.  All bound 2*d_{N,p} from below.
+Each bound takes networks or NetworkSummary objects, which keep the
+per-network invariants a sweep would otherwise rebuild for every pair.
 """
 
 from dataclasses import dataclass
@@ -75,29 +77,82 @@ class BoundReport:
         }
 
 
-def szlb(X: MeasureNetwork, Y: MeasureNetwork, p) -> float:
+class NetworkSummary:
+    """One network and the invariants the bounds read from it.
+
+    Each invariant (size_p, the eccentricity and weight pushforwards,
+    the local quantiles) is built on first use and kept, keyed by its
+    order and direction.  A sweep wraps each network once, so k networks
+    cost k builds of an invariant, not one per pair.  The bound
+    functions take a network or a summary; a bare network gets a fresh
+    summary that lives for one call.  Kept quantiles take 16 n^2 bytes
+    per direction, on top of the network's 8 n^2.
+    """
+
+    __slots__ = ("network", "_built")
+
+    def __init__(self, network: MeasureNetwork):
+        self.network = network
+        self._built = {}
+
+    @property
+    def n(self):
+        return self.network.n
+
+    @property
+    def measure(self):
+        return self.network.measure
+
+    def _get(self, key, build, *args):
+        # build is looked up by its module-global name at each call site,
+        # so a wrapper set on that name sees every real build
+        if key not in self._built:
+            self._built[key] = build(self.network, *args)
+        return self._built[key]
+
+    def size(self, p):
+        return self._get(("size", p), size_p, p)
+
+    def ecc(self, p, direction):
+        return self._get(("ecc", p, direction), ecc_pushforward, p, direction)
+
+    def weight_dist(self):
+        return self._get(("weights",), weight_pushforward)
+
+    def quantiles(self, direction):
+        return self._get(("quantiles", direction), _local_quantiles, direction)
+
+
+NetworkLike = MeasureNetwork | NetworkSummary
+
+
+def _summary(X: NetworkLike) -> NetworkSummary:
+    return X if isinstance(X, NetworkSummary) else NetworkSummary(X)
+
+
+def szlb(X: NetworkLike, Y: NetworkLike, p) -> float:
     """|size_p(X) - size_p(Y)|; the cheapest bound, any order."""
-    return abs(size_p(X, p) - size_p(Y, p))
+    return abs(_summary(X).size(p) - _summary(Y).size(p))
 
 
-def rflb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> float:
+def rflb(X: NetworkLike, Y: NetworkLike, p, direction="out") -> float:
     """W_p between the two eccentricity pushforwards."""
     p = _check_order(p, finite=True)
-    return wasserstein_1d(
-        ecc_pushforward(X, p, direction), ecc_pushforward(Y, p, direction), p
-    )
+    X, Y = _summary(X), _summary(Y)
+    return wasserstein_1d(X.ecc(p, direction), Y.ecc(p, direction), p)
 
 
-def rslb(X: MeasureNetwork, Y: MeasureNetwork, p) -> float:
+def rslb(X: NetworkLike, Y: NetworkLike, p) -> float:
     """W_p between the two weight pushforwards."""
     p = _check_order(p, finite=True)
-    return wasserstein_1d(weight_pushforward(X), weight_pushforward(Y), p)
+    return wasserstein_1d(_summary(X).weight_dist(), _summary(Y).weight_dist(), p)
 
 
 def _local_quantiles(X: MeasureNetwork, direction):
-    # per-node sorted weight atoms and cumulative masses, last forced to 1
+    # per-node atoms sorted by (weight, measure), so tied atoms add their
+    # masses in one order whatever their nodes; last cumulative mass forced to 1
     w = X.weights if direction == "out" else X.weights.T
-    order = np.argsort(w, axis=1, kind="stable")
+    order = np.lexsort((np.broadcast_to(X.measure, w.shape), w), axis=1)
     atoms = np.take_along_axis(w, order, axis=1)
     cum = np.clip(np.cumsum(X.measure[order], axis=1), 0.0, 1.0)
     cum[:, -1] = 1.0
@@ -106,12 +161,12 @@ def _local_quantiles(X: MeasureNetwork, direction):
 
 def _tlb_pow_matrix(X, Y, p, direction):
     _check_direction(direction)
-    qx, cx = _local_quantiles(X, direction)
-    qy, cy = _local_quantiles(Y, direction)
+    qx, cx = _summary(X).quantiles(direction)
+    qy, cy = _summary(Y).quantiles(direction)
     return np.maximum(_kernels.tlb_pow(qx, cx, qy, cy, p), 0.0)
 
 
-def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCostMatrix:
+def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatrix:
     """Entry (i, j) is W_p(local distribution of i, local distribution of j).
 
     All m*n entries come from the closed-form merged-quantile sweep.  In
@@ -123,19 +178,20 @@ def tlb_cost(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out") -> TlbCos
     return TlbCostMatrix(C=pow_matrix ** (1.0 / p), direction=direction, p=p)
 
 
-def rtlb(X: MeasureNetwork, Y: MeasureNetwork, p, direction="out"):
+def rtlb(X: NetworkLike, Y: NetworkLike, p, direction="out"):
     """Minimize the L^p(coupling) norm of the TLB cost matrix.
 
     Returns (value, optimal coupling).  exact_ot (assignment or HiGHS LP)
     minimizes the p-th power (a monotone transform), then the root is taken.
     """
     p = _check_order(p, finite=True)
+    # a bare network's quantiles are freed here, before the solve
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
     coupling, objective = exact_ot(pow_matrix, X.measure, Y.measure)
     return max(objective, 0.0) ** (1.0 / p), coupling
 
 
-def rtlb_max(X: MeasureNetwork, Y: MeasureNetwork, p) -> BoundReport:
+def rtlb_max(X: NetworkLike, Y: NetworkLike, p) -> BoundReport:
     """Compute the full bound family; rtlb_max = max(rtlb_out, rtlb_in)."""
     p = _check_order(p, finite=True)
     value_out, plan_out = rtlb(X, Y, p, "out")

@@ -177,6 +177,94 @@ def test_parallel_matches_serial():
             dissimilarity_matrix(POINTS, "rtlb_max", workers=bad)
 
 
+def _overflow_triple():
+    # squares of weights near 1e200 overflow, so every p=2 invariant of
+    # the third network is inf
+    rng = np.random.default_rng(5)
+    good = [random_network(rng, 3), random_network(rng, 4, uniform_measure=True)]
+    return good + [new_network(1e200 * rng.random((4, 4)), np.full(4, 0.25))]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("method", ["szlb", "rslb", "rflb", "rtlb_max"])
+def test_nonfinite_pair_values_are_failures(method):
+    matrix, failures = dissimilarity_matrix(_overflow_triple(), method)
+    assert np.isfinite(matrix.D[0, 1])
+    assert [(f.i, f.j) for f in failures] == [(0, 2), (1, 2)]
+    assert np.isnan(matrix.D[0, 2]) and np.isnan(matrix.D[1, 2])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lone_nan_pair_value_is_a_failure():
+    # inf - inf: both sizes overflow, and szlb is nan
+    big = _overflow_triple()[2]
+    other = new_network(2.0 * big.weights, big.measure)
+    matrix, failures = dissimilarity_matrix([big, other], "szlb")
+    assert len(failures) == 1 and "nan" in failures[0].error
+    assert np.isnan(matrix.D[0, 1])
+
+
+def _sweep_inputs(k):
+    rng = np.random.default_rng(11)
+    nets = [random_network(rng, 2 + (s % 4), low=0.0, high=0.05) for s in range(k)]
+    if k >= 3:
+        nets[1] = _overflow_triple()[2]  # every pair with it fails
+    return nets
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("method", ["szlb", "rslb", "rflb", "rtlb_max", "entropic_gw"])
+def test_pool_matches_serial_bit_for_bit(method, k):
+    # k=3 sends fewer pairs than the pool's 4 chunks per worker; k=7 sends
+    # 21 pairs in chunks of 3
+    nets = _sweep_inputs(k)
+    serial, serial_failures = dissimilarity_matrix(nets, method, workers=1)
+    pooled, pooled_failures = dissimilarity_matrix(nets, method, workers=2)
+    assert serial.D.tobytes() == pooled.D.tobytes()
+    assert serial_failures == pooled_failures
+    if k >= 3:
+        assert {(0, 1), (1, 2)} <= {(f.i, f.j) for f in serial_failures}
+
+
+@pytest.mark.parametrize(
+    "method, name", [("rtlb_max", "_local_quantiles"), ("rflb", "ecc_pushforward")]
+)
+def test_sweep_builds_each_invariant_once_per_network(monkeypatch, method, name):
+    import netgw.bounds as bounds
+
+    calls = []
+    real = getattr(bounds, name)
+
+    def counted(X, *args):
+        calls.append(X)
+        return real(X, *args)
+
+    monkeypatch.setattr(bounds, name, counted)
+    rng = np.random.default_rng(13)
+    for k in (2, 5):
+        calls.clear()
+        nets = [random_network(rng, 3 + s % 2) for s in range(k)]
+        dissimilarity_matrix(nets, method, workers=1)
+        assert len(calls) == 2 * k  # once per network and direction
+        assert all(sum(c is net for c in calls) == 2 for net in nets)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_keeps_no_network_alive(workers):
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(17)
+    nets = [random_network(rng, 3) for _ in range(4)]
+    refs = [weakref.ref(net) for net in nets]
+    matrix, _ = dissimilarity_matrix(nets, "rtlb_max", workers=workers)
+    del nets
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert matrix.complete
+
+
 # ---------------------------------------------------------------------------
 # clustering
 

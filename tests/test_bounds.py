@@ -4,6 +4,7 @@ import pytest
 
 from netgw.bounds import (
     BoundReport,
+    NetworkSummary,
     TlbCostMatrix,
     rflb,
     rslb,
@@ -102,6 +103,26 @@ def test_bounds_are_symmetric():
         assert rtlb(X, Y, p)[0] == pytest.approx(rtlb(Y, X, p)[0], abs=1e-9)
 
 
+def test_summaries_give_the_bare_network_values():
+    """Kept invariants are the ones a bare call builds: every bound is
+    bit-identical, on the first use of a summary and on later ones."""
+    rng = np.random.default_rng(67)
+    X, Y = random_network(rng, 5), random_network(rng, 6, uniform_measure=True)
+    SX, SY = NetworkSummary(X), NetworkSummary(Y)
+    for p in (1.0, 2.0, 2.0, 3.0):
+        for args in ((SX, SY), (X, SY), (SX, Y)):
+            assert szlb(*args, p) == szlb(X, Y, p)
+            assert rslb(*args, p) == rslb(X, Y, p)
+            for direction in ("out", "in"):
+                assert rflb(*args, p, direction) == rflb(X, Y, p, direction)
+                bare = tlb_cost(X, Y, p, direction).C
+                assert tlb_cost(*args, p, direction).C.tobytes() == bare.tobytes()
+            summarized, bare = rtlb_max(*args, p), rtlb_max(X, Y, p)
+            assert summarized.to_dict() == bare.to_dict()
+            assert summarized.coupling_in.plan.tobytes() == bare.coupling_in.plan.tobytes()
+    assert SX.n == X.n and SY.measure is Y.measure
+
+
 # ---------------------------------------------------------------------------
 # TLB cost matrix
 
@@ -156,6 +177,26 @@ def test_tlb_cost_p2_matches_direct_sum_on_permuted_copy():
                     direct = np.sum(seg * (qa - qb) ** 2)
                     moments = np.sum(seg * (qa * qa + qb * qb))
                     assert abs(C[i, j] ** 2 - direct) <= 64.0 * eps * moments
+            if direction == "out":
+                # out-rows 2.. of the copy are rows perm[2:] of X, relabelled:
+                # the same distributions, so the same breakpoints and a zero cost
+                assert np.all(C[perm[2:], np.arange(2, n)] == 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_rtlb_max_is_zero_on_permuted_copy_with_ties(scale):
+    """Tied weights under a non-uniform measure: node-permuted copies have
+    the same local distributions, whatever node order their ties sum in."""
+    rng = np.random.default_rng(83)
+    n = 12
+    weights = scale * rng.integers(-2, 3, size=(n, n)).astype(float)
+    measure = rng.random(n) + 0.1
+    X = new_network(weights, measure / measure.sum())
+    perm = rng.permutation(n)
+    Y = new_network(weights[np.ix_(perm, perm)], X.measure[perm])
+    for p in (1.0, 2.0):
+        report = rtlb_max(X, Y, p)
+        assert report.rtlb_out == 0.0 and report.rtlb_in == 0.0
 
 
 def test_tlb_cost_in_equals_out_of_transpose():

@@ -1,8 +1,10 @@
 """Hot numeric kernels in numpy.
 
 dis_pow and dis_sup sum or maximize over the quadruples (i, j, k, l)
-of two weight matrices under a plan and itself; tlb_pow builds the
-matrix of 1D transport costs between local distributions.
+of two weight matrices under a plan and itself.  Every 1D transport
+cost is integrated here only, on merged_grid by quantile_pow: tlb_pow
+(rtlb) calls it for p != 2 and for its p = 2 resum, ot.wasserstein_1d
+(rflb, rslb) is its one-row call.
 """
 
 import numpy as np
@@ -47,16 +49,25 @@ def _quantiles(q, c, g):
     return np.array([q[i, np.searchsorted(c[i], g, side="left")] for i in range(q.shape[0])])
 
 
-def _quantile_blocks(qx, cx, qy, cy, grid, seg, chunk):
+def _quantile_blocks(qx, cx, qy, cy, grid, seg):
+    chunk = max(256, int(8e6 // max(1, qx.shape[0] * qy.shape[0])))
     for start in range(0, grid.size, chunk):
         g = grid[start : start + chunk]
         yield _quantiles(qx, cx, g), _quantiles(qy, cy, g), seg[start : start + chunk]
 
 
-def _tlb_pow_rows(qx, cx, qy, cy, grid, seg, chunk, p):
-    # direct sum of nonnegative terms, one row of the result at a time
+def merged_grid(cx, cy):
+    """Distinct breakpoints in (0, 1] of all rows, ascending, and the segments they end."""
+    points = np.sort(np.concatenate([cx.ravel(), cy.ravel()]))
+    seg = np.diff(np.concatenate([[0.0], points]))
+    keep = seg > 0.0  # a repeated breakpoint (or one at 0) ends an empty segment
+    return points[keep], seg[keep]
+
+
+def quantile_pow(qx, cx, qy, cy, grid, seg, p):
+    """sum over segments of |Fi^-1 - Gj^-1|^p * seg, summed directly, a row at a time."""
     out = np.zeros((qx.shape[0], qy.shape[0]))
-    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg, chunk):
+    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg):
         for i in range(quant_x.shape[0]):
             out[i] += np.abs(quant_x[i][None, :] - quant_y) ** p @ d
     return out
@@ -68,18 +79,16 @@ def tlb_pow(qx, cx, qy, cy, p):
     qx[i] holds the i-th local distribution's atoms sorted ascending and
     cx[i] the matching cumulative masses (last entry exactly 1).  Entry
     (i, j) of the result is the integral over t in (0, 1] of
-    |Fi^-1(t) - Gj^-1(t)|^p, evaluated on the merged breakpoint grid.
+    |Fi^-1(t) - Gj^-1(t)|^p on the merged breakpoint grid: quantile_pow
+    for p != 2, the expansion of the square for p = 2.
     """
-    grid = np.unique(np.concatenate([cx.ravel(), cy.ravel()]))
-    grid = grid[grid > 0.0]
-    seg = np.diff(np.concatenate([[0.0], grid]))
-    m, n = qx.shape[0], qy.shape[0]
-    chunk = max(256, int(8e6 // max(1, m * n)))
+    grid, seg = merged_grid(cx, cy)
     if p != 2.0:
-        return _tlb_pow_rows(qx, cx, qy, cy, grid, seg, chunk, p)
+        return quantile_pow(qx, cx, qy, cy, grid, seg, p)
+    m, n = qx.shape[0], qy.shape[0]
     out = np.zeros((m, n))
     scale = np.zeros((m, n))
-    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg, chunk):
+    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg):
         sq_x = (quant_x * quant_x) @ d
         sq_y = (quant_y * quant_y) @ d
         out += sq_x[:, None]
@@ -93,6 +102,6 @@ def tlb_pow(qx, cx, qy, cy, p):
     flagged = out <= 64.0 * np.finfo(np.float64).eps * scale
     rows = np.flatnonzero(flagged.any(axis=1))
     if rows.size:
-        exact = _tlb_pow_rows(qx[rows], cx[rows], qy, cy, grid, seg, chunk, 2.0)
+        exact = quantile_pow(qx[rows], cx[rows], qy, cy, grid, seg, 2.0)
         out[rows] = np.where(flagged[rows], exact, out[rows])
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Coupling, MeasureNetwork, _check_order, _freeze
+from .core import Coupling, MeasureNetwork, _check_order, _cumulative, _freeze
 from .errors import DomainError
 from .invariants import _check_direction, ecc_pushforward, size_p, weight_pushforward
 from .ot import exact_ot, wasserstein_1d
@@ -150,13 +150,11 @@ def rslb(X: NetworkLike, Y: NetworkLike, p) -> float:
 
 def _local_quantiles(X: MeasureNetwork, direction):
     # per-node atoms sorted by (weight, measure), so tied atoms add their
-    # masses in one order whatever their nodes; last cumulative mass forced to 1
+    # masses in one order whatever their nodes (from_points' order)
     w = X.weights if direction == "out" else X.weights.T
     order = np.lexsort((np.broadcast_to(X.measure, w.shape), w), axis=1)
     atoms = np.take_along_axis(w, order, axis=1)
-    cum = np.clip(np.cumsum(X.measure[order], axis=1), 0.0, 1.0)
-    cum[:, -1] = 1.0
-    return np.ascontiguousarray(atoms), np.ascontiguousarray(cum)
+    return np.ascontiguousarray(atoms), _cumulative(X.measure[order])
 
 
 def _tlb_pow_matrix(X, Y, p, direction):

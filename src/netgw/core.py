@@ -8,7 +8,7 @@ far it is from being a weight-preserving map.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,13 @@ def _freeze(a):
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
+
+
+def _cumulative(masses):
+    """Running sums along the last axis, clipped to [0, 1], last entry exactly 1."""
+    cum = np.clip(np.cumsum(masses, axis=-1), 0.0, 1.0)
+    cum[..., -1] = 1.0
+    return cum
 
 
 @dataclass(frozen=True)
@@ -166,18 +173,22 @@ def diagonal_coupling(mu) -> Coupling:
 class DiscreteDistribution:
     """Probability distribution on the real line with finitely many atoms.
 
-    Atoms are sorted ascending with exact duplicates merged; masses are
-    strictly positive and sum to 1 within 1e-12.
+    Atoms are finite, sorted ascending with exact duplicates merged;
+    masses are finite, positive and sum to 1 within 1e-9.  cumulative,
+    stored, is the running mass (last entry exactly 1).
     """
 
     atoms: np.ndarray
     masses: np.ndarray
+    cumulative: np.ndarray = field(init=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.float64)
         masses = np.asarray(self.masses, dtype=np.float64)
         if atoms.ndim != 1 or atoms.shape != masses.shape or atoms.size == 0:
             raise ParseError("atoms and masses must be equal-length nonempty")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(masses))):
+            raise DomainError("atoms and masses must be finite")
         if np.any(np.diff(atoms) <= 0.0):
             raise ParseError("atoms must be strictly increasing (merged)")
         if np.any(masses <= 0.0):
@@ -188,22 +199,19 @@ class DiscreteDistribution:
             )
         object.__setattr__(self, "atoms", _freeze(atoms))
         object.__setattr__(self, "masses", _freeze(masses))
+        object.__setattr__(self, "cumulative", _freeze(_cumulative(masses)))
 
     @classmethod
     def from_points(cls, locations, masses):
-        """Build from unsorted locations, merging duplicate locations."""
+        """Build from unsorted locations, summing the masses of each
+        location in (location, mass) order, whatever the input order."""
         locations = np.asarray(locations, dtype=np.float64).ravel()
         masses = np.asarray(masses, dtype=np.float64).ravel()
-        atoms, inverse = np.unique(locations, return_inverse=True)
-        merged = np.zeros(atoms.size)
-        np.add.at(merged, inverse, masses)
-        return cls(atoms, merged)
-
-    @property
-    def cumulative(self):
-        cw = np.clip(np.cumsum(self.masses), 0.0, 1.0)
-        cw[-1] = 1.0
-        return cw
+        order = np.lexsort((masses, locations))
+        locations, masses = locations[order], masses[order]
+        first = np.ones(locations.size, dtype=bool)  # first point of its location
+        first[1:] = locations[1:] != locations[:-1]
+        return cls(locations[first], np.add.reduceat(masses, np.flatnonzero(first)))
 
 
 def _check_marginals(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling):

@@ -1,9 +1,10 @@
 """Optimal transport solvers.
 
 Three layers: exact transport for arbitrary discrete costs (assignment
-for uniform measures, else the HiGHS LP), closed form 1D transport via
-merged quantile breakpoints, and entropic Sinkhorn iteration (one
-log-stabilized loop; the plain form is that loop with absorption off).
+for uniform measures, else the HiGHS LP), closed form 1D transport, and
+entropic Sinkhorn iteration (one log-stabilized loop; the plain form is
+that loop with absorption off).  The 1D layer is the one-row case of
+the TLB kernel's merged-quantile integral (_kernels.quantile_pow).
 """
 
 from dataclasses import dataclass, replace
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, vstack
 
+from . import _kernels
 from .core import Coupling, DiscreteDistribution, _check_order
 from .errors import (
     DomainError,
@@ -117,22 +119,14 @@ def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution, p):
 
     Evaluates (integral over t in (0,1] of |F^-1(t) - G^-1(t)|^p dt)^(1/p)
     with the right-continuous generalized inverse
-    F^-1(t) = inf{u : F(u) >= t}.
+    F^-1(t) = inf{u : F(u) >= t}, as the one-row case of
+    _kernels.quantile_pow.
     """
     p = _check_order(p, finite=True)
-    cw_a = a.cumulative
-    cw_b = b.cumulative
-    grid = np.unique(np.concatenate([cw_a, cw_b]))
-    grid = grid[grid > 0.0]
-    qa = a.atoms[np.searchsorted(cw_a, grid, side="left")]
-    qb = b.atoms[np.searchsorted(cw_b, grid, side="left")]
-    seg = np.diff(np.concatenate([[0.0], grid]))
-    diff = np.abs(qa - qb)
-    if p == 1.0:
-        return float(seg @ diff)
-    if p == 2.0:
-        return float(np.sqrt(seg @ (diff * diff)))
-    return float(seg @ diff**p) ** (1.0 / p)
+    qa, ca = a.atoms[None, :], a.cumulative[None, :]
+    qb, cb = b.atoms[None, :], b.cumulative[None, :]
+    grid, seg = _kernels.merged_grid(ca, cb)
+    return float(_kernels.quantile_pow(qa, ca, qb, cb, grid, seg, p)[0, 0]) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -186,17 +186,32 @@ def test_tlb_cost_p2_matches_direct_sum_on_permuted_copy():
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_rtlb_max_is_zero_on_permuted_copy_with_ties(scale):
     """Tied weights under a non-uniform measure: node-permuted copies have
-    the same local distributions, whatever node order their ties sum in."""
+    the same sizes, eccentricities and local and weight distributions,
+    whatever node order their ties sum in, so every bound is exactly 0."""
     rng = np.random.default_rng(83)
-    n = 12
-    weights = scale * rng.integers(-2, 3, size=(n, n)).astype(float)
-    measure = rng.random(n) + 0.1
-    X = new_network(weights, measure / measure.sum())
-    perm = rng.permutation(n)
-    Y = new_network(weights[np.ix_(perm, perm)], X.measure[perm])
-    for p in (1.0, 2.0):
-        report = rtlb_max(X, Y, p)
-        assert report.rtlb_out == 0.0 and report.rtlb_in == 0.0
+    cases = [("ties", 12), ("ties", 21), ("gaussian", 9), ("ties", 1)]
+    for kind, n in cases:
+        if kind == "ties":
+            weights = scale * rng.integers(-2, 3, size=(n, n)).astype(float)
+        else:
+            weights = scale * rng.standard_normal((n, n))
+        measure = rng.random(n) + 0.1
+        X = new_network(weights, measure / measure.sum())
+        perm = rng.permutation(n)
+        Y = new_network(weights[np.ix_(perm, perm)], X.measure[perm])
+        for p in (1.0, 2.0, 3.0):
+            report = rtlb_max(X, Y, p).to_dict()
+            del report["p"]
+            assert report == dict.fromkeys(report, 0.0), (kind, n, p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rflb_rejects_overflowed_eccentricities():
+    # squares of 1e200 overflow: the eccentricities are inf, not atoms
+    X = new_network([[0.0, 1e200], [3e200, 0.0]], [0.5, 0.5])
+    Y = new_network([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5])
+    with pytest.raises(DomainError):
+        rflb(X, Y, 2.0)
 
 
 def test_tlb_cost_in_equals_out_of_transpose():

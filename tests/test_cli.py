@@ -171,20 +171,22 @@ def test_compare_entropic_range_failure_exits_one(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_compare_nonfinite_pairs_exit_one(tmp_path, capsys):
-    # size_2 of "big" overflows to inf: its two pairs fail, the third stays
+    # size_2 and the eccentricities of "big" overflow to inf: its two
+    # pairs fail, the third stays
     d = tmp_path / "nets"
     d.mkdir()
     save_network(new_network([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5]), d / "a.json")
     save_network(new_network([[0.0, 3.0], [1.0, 1.0]], [0.3, 0.7]), d / "b.json")
     save_network(new_network([[0.0, 1e200], [3e200, 0.0]], [0.5, 0.5]), d / "big.json")
-    out = tmp_path / "cmp"
-    code = main(["compare", str(d), "--method", "szlb", "--out", str(out)])
-    assert code == 1
-    assert "2 of 3 pairs failed" in capsys.readouterr().err
-    report = json.loads((out / "report.json").read_text())
-    assert [f["pair"] for f in report["failures"]] == [["a", "big"], ["b", "big"]]
-    D = load_dissimilarity_csv(out / "dissimilarity.csv").D
-    assert np.isfinite(D[0, 1]) and np.isnan(D[0, 2]) and np.isnan(D[1, 2])
+    for method in ("szlb", "rflb"):
+        out = tmp_path / method
+        code = main(["compare", str(d), "--method", method, "--out", str(out)])
+        assert code == 1
+        assert "2 of 3 pairs failed" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert [f["pair"] for f in report["failures"]] == [["a", "big"], ["b", "big"]]
+        D = load_dissimilarity_csv(out / "dissimilarity.csv").D
+        assert np.isfinite(D[0, 1]) and np.isnan(D[0, 2]) and np.isnan(D[1, 2])
 
 
 def test_compare_rejects_oversized_network(tmp_path, capsys):

@@ -414,6 +414,32 @@ def test_from_points_merges_duplicates():
     d = DiscreteDistribution.from_points([2.0, 1.0, 2.0], [0.25, 0.5, 0.25])
     npt.assert_array_equal(d.atoms, [1.0, 2.0])
     npt.assert_array_equal(d.masses, [0.5, 0.5])
+    # the tied masses at 1.0 sum to different doubles in different orders;
+    # every input order must still give the same distribution, bit for bit
+    locations = np.array([1.0, 1.0, 1.0, 3.0, 1.0, 3.0])
+    masses = np.array([0.1, 0.2, 0.3, 0.15, 0.05, 0.2])
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    first = DiscreteDistribution.from_points(locations, masses)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        perm = rng.permutation(locations.size)
+        d = DiscreteDistribution.from_points(locations[perm], masses[perm])
+        for name in ("atoms", "masses", "cumulative"):
+            assert getattr(d, name).tobytes() == getattr(first, name).tobytes()
+    with pytest.raises(ValueError):
+        first.cumulative[0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "atoms, masses",
+    [([0.0, np.nan], [0.5, 0.5]), ([0.0, 1.0], [np.nan, np.nan]),
+     ([0.0, np.inf], [0.5, 0.5]), ([-np.inf, 0.0], [0.5, 0.5])],
+)
+def test_distribution_rejects_nonfinite(atoms, masses):
+    with pytest.raises(DomainError):
+        DiscreteDistribution(atoms, masses)
+    with pytest.raises(DomainError):
+        DiscreteDistribution.from_points(atoms, masses)
 
 
 def test_distribution_rejects_unsorted_atoms():

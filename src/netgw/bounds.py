@@ -130,9 +130,18 @@ def _summary(X: NetworkLike) -> NetworkSummary:
     return X if isinstance(X, NetworkSummary) else NetworkSummary(X)
 
 
+def _finite(value, name):
+    # an overflowed invariant gives inf or nan, neither of which is a bound
+    if not np.isfinite(value):
+        raise DomainError(f"{name} is {value}, not finite")
+    return value
+
+
 def szlb(X: NetworkLike, Y: NetworkLike, p) -> float:
-    """|size_p(X) - size_p(Y)|; the cheapest bound, any order."""
-    return abs(_summary(X).size(p) - _summary(Y).size(p))
+    """|size_p(X) - size_p(Y)|; the cheapest bound, any order.
+
+    Raises DomainError when a size overflows."""
+    return _finite(abs(_summary(X).size(p) - _summary(Y).size(p)), "szlb")
 
 
 def rflb(X: NetworkLike, Y: NetworkLike, p, direction="out") -> float:
@@ -143,9 +152,12 @@ def rflb(X: NetworkLike, Y: NetworkLike, p, direction="out") -> float:
 
 
 def rslb(X: NetworkLike, Y: NetworkLike, p) -> float:
-    """W_p between the two weight pushforwards."""
+    """W_p between the two weight pushforwards.
+
+    Raises DomainError when the p-th powers of the weights overflow."""
     p = _check_order(p, finite=True)
-    return wasserstein_1d(_summary(X).weight_dist(), _summary(Y).weight_dist(), p)
+    value = wasserstein_1d(_summary(X).weight_dist(), _summary(Y).weight_dist(), p)
+    return _finite(value, "rslb")
 
 
 def _local_quantiles(X: MeasureNetwork, direction):
@@ -169,7 +181,8 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
 
     All m*n entries come from the closed-form merged-quantile sweep.  In
     rtlb, exact_ot follows: an assignment on uniform measures, about as
-    costly as the sweep; otherwise a HiGHS LP that costs far more.
+    costly as the sweep; otherwise the column-generation HiGHS LP, which
+    on the sphere pairs also costs less than the sweep.
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
@@ -179,8 +192,9 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
 def rtlb(X: NetworkLike, Y: NetworkLike, p, direction="out"):
     """Minimize the L^p(coupling) norm of the TLB cost matrix.
 
-    Returns (value, optimal coupling).  exact_ot (assignment or HiGHS LP)
-    minimizes the p-th power (a monotone transform), then the root is taken.
+    Returns (value, optimal coupling).  exact_ot (an assignment, or the
+    column-generation HiGHS LP, both exact) minimizes the p-th power (a
+    monotone transform), then the root is taken.
     """
     p = _check_order(p, finite=True)
     # a bare network's quantiles are freed here, before the solve

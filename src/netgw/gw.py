@@ -191,12 +191,14 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     candidates = [np.outer(mu, nu)]
     if m == n and np.allclose(mu, nu, atol=1e-12):
         candidates.append(np.diag(mu))
-    # seeds: HiGHS vertices of two surrogate costs (exact_ot breaks ties differently)
+    # seeds: HiGHS optima of two surrogate costs, rounded onto (mu, nu); at
+    # most 9 cells, so _transport_lp solves on the full support (exact_ot's
+    # assignment route breaks ties differently)
     for direction in ("out", "in"):
         ecc_x = eccentricity(X, p if np.isfinite(p) else 2.0, direction).values
         ecc_y = eccentricity(Y, p if np.isfinite(p) else 2.0, direction).values
-        vertex, _ = _transport_lp(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu)
-        candidates.append(np.array(vertex.plan))
+        seed = _transport_lp(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu).coupling
+        candidates.append(np.array(seed.plan))
 
     row_sums = _rounded_margin(mu, BRUTEFORCE_GRID)
     col_sums = _rounded_margin(nu, BRUTEFORCE_GRID)

@@ -214,6 +214,16 @@ def test_rflb_rejects_overflowed_eccentricities():
         rflb(X, Y, 2.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bound", [szlb, rslb], ids=["szlb", "rslb"])
+def test_size_and_weight_bounds_reject_overflow(bound):
+    # size_p overflows for szlb; the p-th powers of the weight gaps for rslb
+    X = new_network([[0.0, 1e200], [3e200, 0.0]], [0.5, 0.5])
+    Y = new_network([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5])
+    with pytest.raises(DomainError, match="not finite"):
+        bound(X, Y, 2.0)
+
+
 def test_tlb_cost_in_equals_out_of_transpose():
     rng = np.random.default_rng(71)
     X = random_network(rng, 4)

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import linprog
 
+from netgw.bounds import _tlb_pow_matrix
 from netgw.core import DiscreteDistribution, product_coupling
 from netgw.errors import (
     DomainError,
@@ -11,11 +12,14 @@ from netgw.errors import (
     MaxItersExceededError,
     RangeTooWideError,
 )
+from netgw.generators import sample_collection
+from netgw.invariants import sphere_discretize
 from netgw.ot import (
     LOG_RANGE_LIMIT,
     TINY_NORMAL,
     KernelState,
     SinkhornConfig,
+    _transport_lp,
     exact_ot,
     log_initialize,
     sinkhorn,
@@ -152,15 +156,21 @@ def _route_cost(rng, kind, m, n):
         return rng.integers(0, 4, size=(m, n)).astype(float)
     if kind == "zero":
         return np.zeros((m, n))
+    if kind == "signed":
+        return rng.normal(size=(m, n))
     return rng.random((m, n)) * {"tiny": 1e-6, "huge": 1e6}[kind]
+
+
+def _assert_marginals(plan, mu, nu, tol):
+    assert np.all(plan >= 0.0)
+    npt.assert_allclose(plan.sum(axis=1), mu, rtol=0, atol=tol)
+    npt.assert_allclose(plan.sum(axis=0), nu, rtol=0, atol=tol)
 
 
 def _check_route(cost, mu, nu):
     coupling, objective = exact_ot(cost, mu, nu)
     plan = coupling.plan
-    assert np.all(plan >= 0.0)
-    npt.assert_allclose(plan.sum(axis=1), mu, rtol=0, atol=1e-12)
-    npt.assert_allclose(plan.sum(axis=0), nu, rtol=0, atol=1e-12)
+    _assert_marginals(plan, mu, nu, 1e-12)
     floor = 1e-12 * float(np.abs(cost).max())
     assert float(np.sum(plan * cost)) == pytest.approx(objective, rel=1e-12, abs=floor)
     assert objective == pytest.approx(_lp_oracle(cost, mu, nu), rel=1e-9, abs=floor)
@@ -196,6 +206,75 @@ def test_exact_ot_lp_route_matches_oracle(monkeypatch, uniform, kind):
     else:
         mu, nu = _random_marginals(rng, 5, 6)
     _check_route(_route_cost(rng, kind, mu.size, nu.size), mu, nu)
+
+
+def _full_support_ot(cost, mu, nu):
+    # the same builder with every cell in its start support: the dense LP
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("netgw.ot._START_CELLS", max(np.shape(cost)))
+        return exact_ot(cost, mu, nu)
+
+
+@pytest.mark.parametrize("kind", ["tied", "signed", "tiny", "huge"])
+@pytest.mark.parametrize(
+    "shape", [(30, 40), (40, 30), (7, 3), (50, 70)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_restricted_lp_matches_full_support(shape, kind):
+    """Non-uniform pairs, and uniform sizes that do not divide, reach the
+    column-generation LP; it ends at the full-support optimum."""
+    m, n = shape
+    rng = np.random.default_rng(7 * m + n)
+    if shape in ((7, 3), (50, 70)):
+        mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    else:
+        mu, nu = _random_marginals(rng, m, n)
+    cost = _route_cost(rng, kind, m, n)
+    coupling, objective = exact_ot(cost, mu, nu)
+    _, full = _full_support_ot(cost, mu, nu)
+    assert objective == pytest.approx(full, rel=1e-12, abs=0.0)
+    _assert_marginals(coupling.plan, mu, nu, 1e-12)
+    floor = 1e-12 * float(np.abs(cost).max())
+    assert float(np.sum(coupling.plan * cost)) == pytest.approx(objective, rel=1e-12, abs=floor)
+
+
+def test_restricted_lp_prices_cells_outside_the_start_support():
+    """Row and column offsets a_i + b_j leave the optimum unchanged but make
+    rows 0..7 and columns 0..7 the cheapest cells everywhere; the unique
+    optimum sits on the anti-diagonal, mostly outside the start support."""
+    n = 24
+    rng = np.random.default_rng(5)
+    mu, _ = _random_marginals(rng, n, n)
+    nu = mu[::-1].copy()
+    offsets = 10.0 * np.arange(n)
+    cost = offsets[:, None] + offsets[None, :] + 1.0 - np.eye(n)[::-1]
+    lp = _transport_lp(cost, mu, nu)
+    assert lp.rounds >= 2 and lp.cells < n * n
+    _, full = _full_support_ot(cost, mu, nu)
+    _, objective = exact_ot(cost, mu, nu)
+    assert lp.objective == pytest.approx(full, rel=1e-12)
+    assert objective == pytest.approx(full, rel=1e-12)
+    npt.assert_allclose(lp.coupling.plan, np.diag(mu)[:, ::-1], rtol=0, atol=1e-12)
+
+
+def test_lp_route_matches_assignment_on_table1_tlb_cost():
+    """At HiGHS's default feasibility tolerances (1e-7) the LP stopped
+    9.4e-11 relative above the assignment optimum on this transport."""
+    nets, _, _ = sample_collection("table1", per_class=2, base_seed=0)
+    X, Y = nets[5], nets[7]
+    cost = _tlb_pow_matrix(X, Y, 2.0, "in")
+    _, assignment = exact_ot(cost, X.measure, Y.measure)
+    _, exponent = np.frexp(np.abs(cost).max())
+    lp = _transport_lp(np.ldexp(cost, -exponent), X.measure, Y.measure)
+    assert np.ldexp(lp.objective, exponent) == pytest.approx(assignment, rel=1e-12)
+
+
+def test_restricted_lp_plan_on_sphere_pair_is_a_coupling():
+    """HiGHS meets the marginals only to its feasibility tolerance (1e-10);
+    the rounded plan of this 700x703 pair meets them to 1e-12."""
+    X, Y = sphere_discretize(1, 700), sphere_discretize(2, 700)
+    assert (X.n, Y.n) == (700, 703)
+    coupling, _ = exact_ot(_tlb_pow_matrix(X, Y, 2.0, "out"), X.measure, Y.measure)
+    _assert_marginals(coupling.plan, X.measure, Y.measure, 1e-12)
 
 
 # ---------------------------------------------------------------------------

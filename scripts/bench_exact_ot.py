@@ -157,7 +157,8 @@ def measure(rows, key, cost, mu, nu):
     t2 = time.perf_counter()
     floor = abs(reference) if reference else 1.0
     gap = abs(objective - reference) / floor
-    error = ot._marginal_error(coupling.plan, mu, nu)
+    plan = coupling.plan
+    error = float(max(np.abs(plan.sum(1) - mu).max(), np.abs(plan.sum(0) - nu).max()))
     for row in (rows.setdefault(key, new_row()), rows["total"]):
         row["transports"] += 1
         row["exact_ot_s"] += t1 - t0

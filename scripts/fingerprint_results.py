@@ -2,7 +2,12 @@
 
 Run it on two checkouts and compare the outputs byte for byte:
 
+    PYTHONPATH=<old checkout>/src python3 scripts/fingerprint_results.py > before.json
     PYTHONPATH=src python3 scripts/fingerprint_results.py > after.json
+    diff before.json after.json
+
+The keys are sorted, one per line, so diff lists each result that moved
+(or that only one run has) and exits 1 if there is any.
 
 The results are:
 

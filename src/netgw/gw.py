@@ -11,7 +11,6 @@ from .core import (
     MeasureNetwork,
     _check_marginals,
     _check_order,
-    diagonal_coupling,
     distortion,
     product_coupling,
 )
@@ -19,7 +18,6 @@ from .errors import (
     DomainError,
     InstanceTooLargeError,
     KernelUnderflowError,
-    MarginalMismatchError,
     MaxItersExceededError,
     RangeTooWideError,
 )
@@ -55,43 +53,36 @@ def _linearized_cost(wx, wy, ex, ey, plan):
     return ex[:, None] + ey[None, :] - 2.0 * (wx @ plan @ wy.T)
 
 
-def _initial_plan(X, Y, init):
-    if isinstance(init, Coupling):
-        _check_marginals(X, Y, init)
-        return np.array(init.plan)
-    if init == "product":
-        return np.array(product_coupling(X.measure, Y.measure).plan)
-    if init == "diagonal":
-        if X.n != Y.n or not np.allclose(X.measure, Y.measure, atol=1e-12):
-            raise MarginalMismatchError(
-                "diagonal init needs equal sizes and matching measures"
-            )
-        return np.array(diagonal_coupling(X.measure).plan)
-    raise DomainError(f"init must be 'product', 'diagonal' or a Coupling, got {init!r}")
-
-
 def entropic_gw(
     X: MeasureNetwork,
     Y: MeasureNetwork,
     config: SinkhornConfig,
     outer_iters: int = 200,
     plan_tol: float = 1e-8,
-    init="product",
+    init: Coupling | None = None,
 ) -> GwResult:
     """Alternate linearization and entropic OT until the plan stops moving.
 
     Order p=2 only: the linearized cost splits into two matmuls there.
-    Inner solves run in the log-stabilized regime.  A blown-up inner
-    solve does not raise; the result just reports converged=False.
+    The first linearization is at init, a Coupling of the two measures
+    (diagonal_coupling(X.measure) starts from the identity), or at the
+    product coupling when init is None.  Inner solves run in the
+    log-stabilized regime.  A blown-up inner solve does not raise; the
+    result just reports converged=False.
     """
     if outer_iters < 1:
         raise DomainError(f"outer_iters must be >= 1, got {outer_iters}")
     if not (plan_tol > 0.0):
         raise DomainError(f"plan_tol must be > 0, got {plan_tol}")
+    if init is None:
+        init = product_coupling(X.measure, Y.measure)
+    elif not isinstance(init, Coupling):
+        raise DomainError(f"init must be a Coupling or None, got {init!r}")
+    _check_marginals(X, Y, init)
     wx, wy = X.weights, Y.weights
     ex = (wx**2) @ X.measure
     ey = (wy**2) @ Y.measure
-    plan = _initial_plan(X, Y, init)
+    plan = init.plan
 
     converged = False
     inner_error = None

@@ -254,7 +254,9 @@ class SinkhornResult:
     """Plan plus solver diagnostics.
 
     plan is the last iterate rounded onto (mu, nu) by _round_to_marginals;
-    marginal_error is the error of the iterate before that rounding.
+    marginal_error is the column error max|b * (K^T a) - nu| of the iterate
+    before that rounding, whose rows match mu to rounding after the
+    a-update.
     """
 
     plan: Coupling
@@ -295,12 +297,6 @@ def log_initialize(cost, lam) -> KernelState:
         v=np.zeros(cost.shape[1]),
         gamma=gamma,
     )
-
-
-def _marginal_error(plan, mu, nu):
-    row = float(np.abs(plan.sum(axis=1) - mu).max())
-    col = float(np.abs(plan.sum(axis=0) - nu).max())
-    return max(row, col)
 
 
 def _round_to_marginals(plan, mu, nu):
@@ -355,17 +351,13 @@ def sinkhorn_log(cost, cfg: SinkhornConfig, mu, nu, state=None) -> SinkhornResul
     nu = _prob_vector(nu, "nu")
     if state is None:
         state = log_initialize(cost, cfg.lam)
-    K = state.K
-    u = state.u.copy()
-    v = state.v.copy()
-    gamma = state.gamma
+    K, u, v, gamma = state.K, state.u, state.v, state.gamma
     kernel_min = float(K.min())
     kernel_max = float(K.max())
-    a = np.ones(mu.size)
-    b = np.ones(nu.size)
+    kta = K.T @ np.ones(mu.size)
     absorptions = 0
     for it in range(1, cfg.max_iters + 1):
-        b = nu / (K.T @ a)
+        b = nu / kta
         a = mu / (K @ b)
         if max(float(a.max()), float(b.max())) > cfg.absorb_threshold:
             u = u + np.log(a) / cfg.lam
@@ -388,10 +380,13 @@ def sinkhorn_log(cost, cfg: SinkhornConfig, mu, nu, state=None) -> SinkhornResul
             absorptions += 1
             kernel_min = min(kernel_min, float(K.min()))
             kernel_max = max(kernel_max, float(K.max()))
-        plan = a[:, None] * K * b[None, :]
-        err = _marginal_error(plan, mu, nu)
+        # rows match mu after the a-update (an absorbed kernel is that
+        # iterate): check the columns; K^T a is the next b-update's divisor
+        kta = K.T @ a
+        err = float(np.abs(b * kta - nu).max())
         if err <= cfg.tolerance or not np.isfinite(err):
             break
+    plan = a[:, None] * K * b[None, :]
     # a non-finite or all-zero iterate has nothing to round
     usable = np.all(np.isfinite(plan)) and float(plan.sum()) > 0.0
     result = SinkhornResult(

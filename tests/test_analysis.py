@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgw import analysis
 from netgw.analysis import (
     Dendrogram,
     DissimilarityMatrix,
@@ -204,6 +205,17 @@ def test_lone_nan_pair_value_is_a_failure():
     assert np.isnan(matrix.D[0, 1])
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_pair_value_is_a_failure(monkeypatch, value):
+    # every bound raises on overflow first; the sweep still refuses a
+    # non-finite value from any method
+    monkeypatch.setattr(analysis, "_pair_value", lambda *args: value)
+    matrix, failures = dissimilarity_matrix(POINTS, "szlb")
+    assert len(failures) == 3
+    assert all(f"szlb value is {value}, not finite" in f.error for f in failures)
+    assert np.isnan(matrix.D[0, 1])
+
+
 def _sweep_inputs(k):
     rng = np.random.default_rng(11)
     nets = [random_network(rng, 2 + (s % 4), low=0.0, high=0.05) for s in range(k)]
@@ -392,6 +404,10 @@ def test_newick_single_leaf():
     assert to_newick(tree) == "solo;"
 
 
+def test_newick_empty_tree():
+    assert to_newick(Dendrogram(leaf_labels=(), merges=())) == ";"
+
+
 def test_newick_sanitizes_labels():
     m = DissimilarityMatrix(
         labels=("a b", "c(d)", "e:f"), D=np.zeros((3, 3))
@@ -526,6 +542,11 @@ def test_load_dissimilarity_default_labels(tmp_path):
     f.write_text("0,1\n1,0\n")
     m = load_dissimilarity_csv(f)
     assert m.labels == ("n0", "n1")
+
+
+def test_load_dissimilarity_missing_file(tmp_path):
+    with pytest.raises(IoError):
+        load_dissimilarity_csv(tmp_path / "absent.csv")
 
 
 def test_load_dissimilarity_label_count_mismatch(tmp_path):

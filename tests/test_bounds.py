@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from netgw import bounds
 from netgw.bounds import (
     BoundReport,
     NetworkSummary,
@@ -235,6 +236,40 @@ def test_tlb_cost_in_equals_out_of_transpose():
         v_in, _ = rtlb(X, Y, p, "in")
         v_t, _ = rtlb(_transposed(X), _transposed(Y), p, "out")
         assert v_in == pytest.approx(v_t, abs=1e-9)
+
+
+def _symmetrized(X):
+    return new_network(X.weights + X.weights.T, X.measure)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(bounds, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(bounds, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_rtlb_max_solves_one_direction_on_symmetric_pairs(monkeypatch, p):
+    rng = np.random.default_rng(79)
+    X = _symmetrized(random_network(rng, 5))
+    Y = _symmetrized(random_network(rng, 7))
+    value_in, plan_in = rtlb(X, Y, p, "in")
+    solves = _count_calls(monkeypatch, "exact_ot")
+    report = rtlb_max(X, Y, p)
+    assert len(solves) == 1
+    assert report.rtlb_in == value_in
+    assert report.coupling_in.plan.tobytes() == plan_in.plan.tobytes()
+    assert report.rtlb_max == max(rtlb(X, Y, p, "out")[0], value_in)
+    # one side asymmetric: both directions are solved
+    solves.clear()
+    rtlb_max(random_network(rng, 5), Y, p)
+    assert len(solves) == 2
 
 
 def test_rtlb_coupling_has_network_marginals():

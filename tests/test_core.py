@@ -24,6 +24,7 @@ from netgw.core import (
 )
 from netgw.errors import (
     DomainError,
+    IoError,
     MarginalMismatchError,
     MeasureNotNormalizedError,
     NonPositiveMassError,
@@ -442,6 +443,11 @@ def test_distribution_rejects_nonfinite(atoms, masses):
         DiscreteDistribution.from_points(atoms, masses)
 
 
+def test_distribution_rejects_length_mismatch():
+    with pytest.raises(ParseError):
+        DiscreteDistribution([1.0, 2.0], [1.0])
+
+
 def test_distribution_rejects_unsorted_atoms():
     with pytest.raises(ParseError):
         DiscreteDistribution([2.0, 1.0], [0.5, 0.5])
@@ -483,6 +489,11 @@ def test_network_json_roundtrip(tmp_path):
     assert X.weights.tobytes() == Y.weights.tobytes()
     assert X.measure.tobytes() == Y.measure.tobytes()
     assert X.labels == Y.labels
+
+
+def test_save_network_to_unwritable_path(tmp_path):
+    with pytest.raises(IoError):
+        save_network(one_point_network(1.0), tmp_path / "missing" / "net.json")
 
 
 def test_network_json_defaults_to_uniform_measure():

@@ -44,6 +44,9 @@ def test_spec_validation():
     for sizes in [(1.5, 1), ("x", 1), 3, [[1, 1]], (np.nan, 1)]:
         with pytest.raises(DomainError):
             SbmSpec(means=np.zeros((2, 2)), variances=np.zeros((2, 2)), block_sizes=sizes)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            SbmSpec(means=np.full((2, 2), bad), variances=np.zeros((2, 2)), block_sizes=(1, 1))
     with pytest.raises(ValueError):
         SbmSpec(
             means=np.zeros((2, 2)),

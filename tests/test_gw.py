@@ -5,15 +5,18 @@ import pytest
 from netgw.bounds import rtlb_max
 from netgw.core import (
     Coupling,
+    diagonal_coupling,
     distortion,
     new_network,
     one_point_network,
     product_coupling,
 )
+from netgw import gw
 from netgw.errors import (
     DomainError,
     InstanceTooLargeError,
     MarginalMismatchError,
+    MaxItersExceededError,
 )
 from netgw.gw import (
     BRUTEFORCE_CELL_LIMIT,
@@ -21,7 +24,7 @@ from netgw.gw import (
     entropic_gw,
     gw_bruteforce,
 )
-from netgw.ot import SinkhornConfig, _round_to_marginals
+from netgw.ot import SinkhornConfig, SinkhornResult, _round_to_marginals
 
 from conftest import random_coupling, random_network
 
@@ -73,7 +76,7 @@ def test_round_to_marginals_keeps_valid_plans(rng):
 def test_entropic_gw_identical_networks(rng):
     # weights kept small so lam=50 stays inside the representable range
     X = random_network(rng, 4, low=-2.0, high=2.0, uniform_measure=True)
-    res = entropic_gw(X, X, CFG, init="diagonal")
+    res = entropic_gw(X, X, CFG, init=diagonal_coupling(X.measure))
     assert res.converged
     assert res.value <= 1e-6
 
@@ -144,15 +147,39 @@ def test_entropic_gw_reports_range_failure():
     assert "RangeTooWide" in res.inner_error
 
 
+@pytest.mark.parametrize("partial", [
+    None,
+    SinkhornResult(plan=None, iterations=3, marginal_error=np.inf, absorptions=0,
+                   kernel_min=1.0, kernel_max=1.0, converged=False),
+])
+def test_entropic_gw_reports_diverged_inner_solve(monkeypatch, partial):
+    # a stalled inner solve with no plan to carry on from ends the run
+    def diverged(*args):
+        raise MaxItersExceededError("diverged", partial=partial)
+
+    monkeypatch.setattr(gw, "sinkhorn_log", diverged)
+    r = np.random.default_rng(7)
+    X = random_network(r, 3)
+    Y = random_network(r, 4)
+    res = entropic_gw(X, Y, CFG)
+    assert not res.converged
+    assert res.iterations == 1
+    assert res.inner_error == "inner solver diverged"
+    npt.assert_array_equal(res.coupling.plan, product_coupling(X.measure, Y.measure).plan)
+
+
 def test_entropic_gw_init_variants(fig2_triple):
     X, Y, _ = fig2_triple
     seed = product_coupling(X.measure, Y.measure)
     res = entropic_gw(X, Y, CFG, init=seed)
     assert res.value >= 0.0
+    # None is the product coupling
+    assert entropic_gw(X, Y, CFG).value == res.value
     with pytest.raises(MarginalMismatchError):
-        entropic_gw(X, Y, CFG, init="diagonal")  # measures differ
-    with pytest.raises(DomainError):
-        entropic_gw(X, Y, CFG, init="random")
+        entropic_gw(X, Y, CFG, init=diagonal_coupling(X.measure))  # measures differ
+    for name in ("product", "diagonal", "random"):
+        with pytest.raises(DomainError):
+            entropic_gw(X, Y, CFG, init=name)
 
 
 def test_entropic_gw_argument_checks(fig2_triple):

@@ -15,6 +15,7 @@ from netgw.errors import (
     UnsupportedDimensionError,
 )
 from netgw.invariants import (
+    EccentricityVector,
     SizeCurve,
     ecc_pushforward,
     eccentricity,
@@ -69,6 +70,11 @@ def test_eccentricity_fig2_values(fig2_triple):
     npt.assert_allclose(
         eccentricity(Y, 1.0).values, [1.5, 2.0, 2.0], atol=1e-15
     )
+
+
+def test_eccentricity_vector_rejects_negative_values():
+    with pytest.raises(DomainError):
+        EccentricityVector(values=[1.0, -0.5], direction="out", p=1.0)
 
 
 def test_eccentricity_directions_differ():
@@ -364,6 +370,13 @@ def test_size_curve_custom_grid(fig2_triple):
     assert curve.values[2] == size_p(X, 1.0)
 
 
+def test_size_curve_without_positive_weights_spans_unit_interval():
+    X = new_network([[0.0, -1.0], [-2.0, 0.0]], [0.5, 0.5])
+    curve = size_curve(X, 1.0, samples=5)
+    npt.assert_array_equal(curve.grid, np.linspace(0.0, 1.0, 5))
+    assert curve.values[0] == sub_size(X, 1.0, 0.0)
+
+
 def test_size_curve_validation():
     with pytest.raises(KindMismatchError):
         SizeCurve(grid=[0.0, 1.0], values=[0.0, 1.0], p=1.0, kind="levels")
@@ -371,6 +384,10 @@ def test_size_curve_validation():
         SizeCurve(grid=[0.0, 0.0], values=[0.0, 1.0], p=1.0, kind="sublevel")
     with pytest.raises(DomainError):
         SizeCurve(grid=[0.0, 1.0], values=[1.0, 0.0], p=1.0, kind="sublevel")
+    with pytest.raises(DomainError):
+        SizeCurve(grid=[0.0, 1.0], values=[0.0, 1.0], p=1.0, kind="superlevel")
+    with pytest.raises(DomainError):
+        SizeCurve(grid=[0.0, 1.0, 2.0], values=[0.0, 1.0], p=1.0, kind="sublevel")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -439,6 +456,17 @@ def test_interleaving_plateau_shift():
     assert interleaving_distance(f, g, tol=1e-6) == pytest.approx(
         s / 2.0, abs=1e-4
     )
+
+
+def test_interleaving_grows_bracket_past_the_largest_gap():
+    # a drop within the monotonicity slack, steeper than any shift can
+    # cover: the distance (the drop plus the offset) is about 100 times
+    # the largest vertical gap (the offset), so the bracket must double
+    grid = [0.0, 1.0, 1.0 + 2.0**-40]
+    values = np.array([0.0, 1.0, 1.0 - 1e-10])
+    f = _line_curve(values + 1e-12, grid)
+    g = _line_curve(values, grid)
+    assert interleaving_distance(f, g, tol=1e-15) == pytest.approx(1.01e-10, rel=1e-3)
 
 
 def test_interleaving_symmetric(rng):

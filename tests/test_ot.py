@@ -1,8 +1,12 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
+from netgw import ot
 from netgw.bounds import _tlb_pow_matrix
 from netgw.core import DiscreteDistribution, product_coupling
 from netgw.errors import (
@@ -10,6 +14,7 @@ from netgw.errors import (
     InfeasibleError,
     KernelUnderflowError,
     MaxItersExceededError,
+    NetgwError,
     RangeTooWideError,
 )
 from netgw.generators import sample_collection
@@ -19,6 +24,7 @@ from netgw.ot import (
     TINY_NORMAL,
     KernelState,
     SinkhornConfig,
+    _round_to_marginals,
     _transport_lp,
     exact_ot,
     log_initialize,
@@ -235,6 +241,17 @@ def test_restricted_lp_matches_full_support(shape, kind):
     _assert_marginals(coupling.plan, mu, nu, 1e-12)
     floor = 1e-12 * float(np.abs(cost).max())
     assert float(np.sum(coupling.plan * cost)) == pytest.approx(objective, rel=1e-12, abs=floor)
+
+
+def test_transport_lp_failure_is_infeasible(monkeypatch):
+    # any HiGHS status but 0 (optimal) is reported, not read as a plan
+    def failed(*args, **kwargs):
+        return OptimizeResult(status=2, message="The problem is infeasible.")
+
+    monkeypatch.setattr(ot, "linprog", failed)
+    mu, nu = _random_marginals(np.random.default_rng(5), 3, 4)
+    with pytest.raises(InfeasibleError, match="transport LP failed: The problem is infeasible"):
+        exact_ot(np.ones((3, 4)), mu, nu)
 
 
 def test_restricted_lp_prices_cells_outside_the_start_support():
@@ -525,3 +542,99 @@ def test_sinkhorn_marginals_within_tolerance(rng):
             assert np.abs(plan.sum(axis=1) - mu).max() <= 1e-9
             assert np.abs(plan.sum(axis=0) - nu).max() <= 1e-9
             assert np.all(plan >= 0.0)
+
+
+def _full_check_sinkhorn(cost, cfg, mu, nu, plain):
+    """The Sinkhorn loop that forms the plan and both of its marginals at
+    every step: (iterations, absorptions, converged, raw plan, row error,
+    column error)."""
+    if plain:
+        with np.errstate(over="ignore", under="ignore"):
+            K = np.exp(-cfg.lam * cost)
+        state = KernelState(K=K, u=np.zeros(K.shape[0]), v=np.zeros(K.shape[1]), gamma=0.0)
+        cfg = replace(cfg, absorb_threshold=np.inf)
+    else:
+        state = log_initialize(cost, cfg.lam)
+    K, u, v, gamma = state.K, state.u, state.v, state.gamma
+    a = np.ones(mu.size)
+    b = np.ones(nu.size)
+    absorptions = 0
+    for it in range(1, cfg.max_iters + 1):
+        b = nu / (K.T @ a)
+        a = mu / (K @ b)
+        if max(float(a.max()), float(b.max())) > cfg.absorb_threshold:
+            u = u + np.log(a) / cfg.lam
+            v = v + np.log(b) / cfg.lam
+            K = np.exp(cfg.lam * (-cost + u[:, None] + v[None, :] + 2.0 * gamma))
+            if not np.all(np.isfinite(K)):
+                raise KernelUnderflowError("absorbed kernel overflowed")
+            K = np.maximum(K, TINY_NORMAL)
+            a = np.ones(mu.size)
+            b = np.ones(nu.size)
+            absorptions += 1
+        plan = a[:, None] * K * b[None, :]
+        row = float(np.abs(plan.sum(axis=1) - mu).max())
+        col = float(np.abs(plan.sum(axis=0) - nu).max())
+        err = max(row, col)
+        if err <= cfg.tolerance or not np.isfinite(err):
+            break
+    return it, absorptions, err <= cfg.tolerance, plan, row, col
+
+
+def _outcome(fn):
+    try:
+        return "converged", fn()
+    except MaxItersExceededError as err:
+        return "stalled", err.partial
+    except NetgwError as err:
+        return type(err).__name__, None
+
+
+def test_sinkhorn_column_check_matches_full_check():
+    """Checking only the columns stops where checking rows and columns did.
+
+    240 random costs (sizes 2-29, scales 1e-6 to 1e6, signed costs, lam
+    spread around 1-300 over the scale, two absorption thresholds),
+    each through sinkhorn and sinkhorn_log: same iterations, absorptions,
+    converged flags, exceptions and plan bytes as the loop that forms the
+    plan every step.  marginal_error is the column error of the raw
+    iterate, whose rows match mu to rounding."""
+    rng = np.random.default_rng(2)
+    seen = Counter()
+    for _ in range(240):
+        m, n = rng.integers(2, 30, size=2)
+        scale = 10.0 ** rng.integers(-6, 7)
+        cost = scale * rng.random((m, n))
+        if rng.random() < 0.3:
+            cost -= cost.mean()
+        mu, nu = _random_marginals(rng, m, n)
+        cfg = SinkhornConfig(
+            lam=float(rng.choice([1.0, 10.0, 100.0, 300.0])) / scale * 10.0 ** rng.uniform(-1, 1.5),
+            max_iters=int(rng.choice([20, 300])),
+            tolerance=float(rng.choice([1e-9, 1e-13])),
+            absorb_threshold=float(rng.choice([1e30, 1e6])),
+        )
+        for plain, solver in ((True, sinkhorn), (False, sinkhorn_log)):
+            with np.errstate(all="ignore"):
+                kind, res = _outcome(lambda: solver(cost, cfg, mu, nu))
+                ref_kind, ref = _outcome(lambda: _full_check_sinkhorn(cost, cfg, mu, nu, plain))
+            if ref_kind != "converged":
+                assert kind == ref_kind
+                seen[kind] += 1
+                continue
+            iterations, absorptions, converged, plan, row, col = ref
+            assert (res.iterations, res.absorptions, res.converged) == (
+                iterations, absorptions, converged)
+            assert kind == ("converged" if converged else "stalled")
+            if res.plan is None:
+                # a diverged iterate: nothing finite to round
+                assert not (np.all(np.isfinite(plan)) and plan.sum() > 0.0)
+                seen["diverged"] += 1
+                continue
+            assert res.plan.plan.tobytes() == _round_to_marginals(plan, mu, nu).tobytes()
+            assert res.marginal_error == pytest.approx(col, rel=1e-12, abs=1e-15)
+            assert row < 1e-14
+            seen[kind + (" absorbed" if absorptions else "")] += 1
+    for kind in ("converged", "stalled", "stalled absorbed", "diverged",
+                 "KernelUnderflowError", "RangeTooWideError"):
+        assert seen[kind] > 0, kind

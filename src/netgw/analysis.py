@@ -31,8 +31,6 @@ class DissimilarityMatrix:
 
     labels: tuple
     D: np.ndarray
-    method: str = ""
-    p: float = 2.0
 
     def __post_init__(self):
         D = np.asarray(self.D, dtype=np.float64)
@@ -190,7 +188,7 @@ def dissimilarity_matrix(
         D[i, j] = D[j, i] = value
         if error is not None:
             failures.append(PairFailure(i, j, labels[i], labels[j], error))
-    matrix = DissimilarityMatrix(labels=tuple(labels), D=D, method=method, p=p)
+    matrix = DissimilarityMatrix(labels=tuple(labels), D=D)
     return matrix, tuple(failures)
 
 

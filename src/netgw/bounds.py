@@ -8,7 +8,7 @@ Each bound takes networks or NetworkSummary objects, which keep the
 per-network invariants a sweep would otherwise rebuild for every pair.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ class TlbCostMatrix:
     """Matrix of 1D W_p distances between local weight distributions."""
 
     C: np.ndarray
-    direction: str
-    p: float
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=np.float64)
@@ -38,7 +36,10 @@ class TlbCostMatrix:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All seven lower-bound numbers for one pair of networks."""
+    """All seven lower-bound numbers for one pair of networks.
+
+    Checks szlb <= rflb <= rtlb per direction to HIERARCHY_TOL times
+    max(1, _weight_scale), which rtlb_max sets to the largest max|w|."""
 
     szlb: float
     rflb_out: float
@@ -50,8 +51,9 @@ class BoundReport:
     p: float
     coupling_out: Coupling | None = None
     coupling_in: Coupling | None = None
+    _weight_scale: InitVar[float] = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self, _weight_scale):
         chain = (
             (self.szlb, self.rflb_out, "szlb <= rflb_out"),
             (self.rflb_out, self.rtlb_out, "rflb_out <= rtlb_out"),
@@ -59,7 +61,7 @@ class BoundReport:
             (self.rflb_in, self.rtlb_in, "rflb_in <= rtlb_in"),
         )
         for lo, hi, label in chain:
-            if lo > hi + HIERARCHY_TOL:
+            if lo > hi + HIERARCHY_TOL * max(1.0, _weight_scale):
                 raise DomainError(
                     f"hierarchy violated: {label} failed ({lo!r} > {hi!r})"
                 )
@@ -94,10 +96,6 @@ class NetworkSummary:
     def __init__(self, network: MeasureNetwork):
         self.network = network
         self._built = {}
-
-    @property
-    def n(self):
-        return self.network.n
 
     @property
     def measure(self):
@@ -191,7 +189,7 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)
-    return TlbCostMatrix(C=pow_matrix ** (1.0 / p), direction=direction, p=p)
+    return TlbCostMatrix(C=pow_matrix ** (1.0 / p))
 
 
 def rtlb(X: NetworkLike, Y: NetworkLike, p, direction="out"):
@@ -229,4 +227,5 @@ def rtlb_max(X: NetworkLike, Y: NetworkLike, p) -> BoundReport:
         p=p,
         coupling_out=plan_out,
         coupling_in=plan_in,
+        _weight_scale=max(_summary(X).size(np.inf), _summary(Y).size(np.inf)),
     )

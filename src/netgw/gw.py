@@ -22,7 +22,7 @@ from .errors import (
     RangeTooWideError,
 )
 from .invariants import eccentricity, size_p
-from .ot import SinkhornConfig, _round_to_marginals, _transport_lp, sinkhorn_log
+from .ot import SinkhornConfig, _round_to_marginals, exact_ot, sinkhorn_log
 
 BRUTEFORCE_CELL_LIMIT = 9
 BRUTEFORCE_GRID = 8
@@ -164,7 +164,8 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     """Near-exhaustive search over the coupling polytope for tiny inputs.
 
     Rounds every integer contingency table at resolution 1/BRUTEFORCE_GRID
-    onto (mu, nu), adds a few structured seeds, and polishes the best with
+    onto (mu, nu), adds a few seeds (among them exact_ot optima of two
+    eccentricity costs), and polishes the best with
     SLSQP (finite p), rounding again.  The value is the distortion of a
     coupling: an upper bound on d_{N,p}, not exact, that can sit above it
     when no table lies near an optimal coupling.
@@ -182,13 +183,11 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     candidates = [np.outer(mu, nu)]
     if m == n and np.allclose(mu, nu, atol=1e-12):
         candidates.append(np.diag(mu))
-    # seeds: HiGHS optima of two surrogate costs, rounded onto (mu, nu); at
-    # most 9 cells, so _transport_lp solves on the full support (exact_ot's
-    # assignment route breaks ties differently)
+    # seeds: exact_ot optima of two surrogate costs
     for direction in ("out", "in"):
         ecc_x = eccentricity(X, p if np.isfinite(p) else 2.0, direction).values
         ecc_y = eccentricity(Y, p if np.isfinite(p) else 2.0, direction).values
-        seed = _transport_lp(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu).coupling
+        seed, _ = exact_ot(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu)
         candidates.append(np.array(seed.plan))
 
     row_sums = _rounded_margin(mu, BRUTEFORCE_GRID)

@@ -49,8 +49,6 @@ def size_p(X: MeasureNetwork, p) -> float:
 @dataclass(frozen=True)
 class EccentricityVector:
     values: np.ndarray
-    direction: str
-    p: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -69,7 +67,7 @@ def eccentricity(X: MeasureNetwork, p, direction="out") -> EccentricityVector:
         values = np.abs(w).max(axis=1)
     else:
         values = _row_pow_sums(w, X.measure, p) ** (1.0 / p)
-    return EccentricityVector(values=values, direction=direction, p=p)
+    return EccentricityVector(values=values)
 
 
 def local_distribution(X: MeasureNetwork, i, direction="out") -> DiscreteDistribution:

@@ -56,7 +56,7 @@ def exact_ot(cost, mu, nu):
     Returns (Coupling, objective), exact on two routes: an assignment
     (some permutation is optimal) when mu and nu are uniform and one size
     divides the other, otherwise the column-generation HiGHS LP
-    (_transport_lp) on the cost scaled by a power of two near 1.
+    (_transport_lp, which scales the cost; objective in the cost's units).
     """
     cost = _finite_cost(cost)
     mu = _prob_vector(mu, "mu")
@@ -75,16 +75,14 @@ def exact_ot(cost, mu, nu):
         plan = np.zeros((m, n))
         np.add.at(plan, (rows // (large // m), cols // (large // n)), 1.0 / large)
         return Coupling(plan, mu, nu), float(tiled[rows, cols].sum() / large)
-    # HiGHS's tolerances are absolute: solve at a power-of-two scale near 1
-    _, exponent = np.frexp(np.abs(cost).max())
-    lp = _transport_lp(np.ldexp(cost, -exponent), mu, nu)
-    return lp.coupling, float(np.ldexp(lp.objective, exponent))
+    lp = _transport_lp(cost, mu, nu)
+    return lp.coupling, lp.objective
 
 
 # start support per row and per column; also how many cells a row may gain
 # in one pricing round
 _START_CELLS = 8
-# a cell outside the support enters when its reduced cost is below -_PRICE_TOL
+# a cell outside the support enters when its scaled reduced cost is below -_PRICE_TOL
 _PRICE_TOL = 1e-12
 # HiGHS's tightest feasibility tolerances; at its defaults (1e-7) the LP
 # stopped up to 2e-9 relative above the optimum on table1 TLB costs
@@ -94,9 +92,10 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_to
 class TransportLp(NamedTuple):
     """A _transport_lp solution: the plan, its value and the LP's duals.
 
-    f and g are the row and column potentials of the last restricted LP
-    (g[-1] = 0, its constraint being the dropped one); rounds counts the
-    restricted solves and cells the final support size.
+    objective and the row and column potentials f, g of the last
+    restricted LP are in the caller's cost units (g[-1] = 0, its
+    constraint being the dropped one); rounds counts the restricted
+    solves and cells the final support size.
     """
 
     coupling: Coupling
@@ -130,21 +129,24 @@ def _cheapest(values, k):
 def _transport_lp(cost, mu, nu):
     """Exact transport on checked inputs by column generation (Schmitzer 2016).
 
-    HiGHS solves the transport LP restricted to a support: the
+    HiGHS's tolerances are absolute, so it sees C scaled exactly by the
+    power of two that puts max|C| in [0.5, 1); objective, f and g come
+    back in C's units.  HiGHS solves the LP restricted to a support: the
     _START_CELLS cheapest cells of every row and every column plus the
     north-west-corner path (_staircase), which keeps the restricted LP
     feasible; one redundant column constraint is dropped.  Its duals f, g
     price every cell, and each row gains its most negative reduced costs
     C - f - g outside the support, up to _START_CELLS of them.  The loop
-    stops when no outside cell is below -_PRICE_TOL, so the restricted
-    optimum is the full one; each round adds a cell, and the full support
-    is the dense LP, so it always ends.  A side of at most _START_CELLS
-    nodes starts on the full support.  HiGHS runs at its tightest
-    feasibility tolerances (_HIGHS_TOLERANCES) and meets the marginals
-    only to those, so the plan is rounded onto (mu, nu) with
+    stops when no outside cell is below -_PRICE_TOL (scaled), so the
+    restricted optimum is the full one; each round adds a cell, and the
+    full support is the dense LP, so it always ends.  A side of at most
+    _START_CELLS nodes starts on the full support.  HiGHS runs at its
+    tightest feasibility tolerances (_HIGHS_TOLERANCES) and meets the
+    marginals only to those, so the plan is rounded onto (mu, nu) with
     _round_to_marginals; the objective is the LP's.
     """
     m, n = cost.shape
+    # one row or column: the plan is forced (the LP's plan can be an ulp off)
     if m == 1:
         plan = nu[None, :].copy()
         return TransportLp(Coupling(plan, mu, nu), float(cost[0] @ nu),
@@ -153,6 +155,8 @@ def _transport_lp(cost, mu, nu):
         plan = mu[:, None].copy()
         return TransportLp(Coupling(plan, mu, nu), float(cost[:, 0] @ mu),
                            cost[:, 0].copy(), np.zeros(1), 0, m)
+    _, exponent = np.frexp(np.abs(cost).max())
+    cost = np.ldexp(cost, -exponent)
     support = _cheapest(cost, _START_CELLS) | _cheapest(cost.T, _START_CELLS).T
     support[_staircase(mu, nu)] = True
     b_eq = np.concatenate([mu, nu[: n - 1]])
@@ -182,7 +186,8 @@ def _transport_lp(cost, mu, nu):
     plan = np.zeros((m, n))
     plan[rows, cols] = res.x
     plan = _round_to_marginals(plan, mu, nu)
-    return TransportLp(Coupling(plan, mu, nu), float(res.fun), f, g, rounds, rows.size)
+    return TransportLp(Coupling(plan, mu, nu), float(np.ldexp(res.fun, exponent)),
+                       np.ldexp(f, exponent), np.ldexp(g, exponent), rounds, rows.size)
 
 
 # ---------------------------------------------------------------------------

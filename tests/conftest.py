@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from netgw.core import Coupling, MeasureNetwork, new_network
 from netgw.ot import _round_to_marginals
@@ -50,6 +51,21 @@ def random_coupling(rng, mu, nu):
         raw *= (nu / raw.sum(axis=0))[None, :]
     plan = _round_to_marginals(raw, mu, nu)
     return Coupling(plan=plan, row_marginal=mu, col_marginal=nu)
+
+
+@st.composite
+def scaled_network(draw, max_nodes=4, exponents=st.integers(-6, 6)):
+    """A network of 1..max_nodes nodes with weights times 10^k, k drawn
+    from exponents, under a (generally) non-uniform measure."""
+    n = draw(st.integers(1, max_nodes))
+    # small integers give tied weights, floats give generic ones; both signed
+    entry = st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-1.0, 1.0, allow_nan=False)
+    )
+    scale = 10.0 ** draw(exponents)
+    w = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))) * scale
+    mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return new_network(w.reshape(n, n), mass / mass.sum())
 
 
 @pytest.fixture

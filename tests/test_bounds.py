@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgw import bounds
 from netgw.bounds import (
@@ -16,10 +18,11 @@ from netgw.bounds import (
 )
 from netgw.core import distortion, new_network, one_point_network
 from netgw.errors import DomainError
+from netgw.gw import BRUTEFORCE_CELL_LIMIT, gw_bruteforce
 from netgw.invariants import local_distribution
 from netgw.ot import wasserstein_1d
 
-from conftest import random_coupling, random_network
+from conftest import random_coupling, random_network, scaled_network
 
 
 def _transposed(X):
@@ -121,7 +124,7 @@ def test_summaries_give_the_bare_network_values():
             summarized, bare = rtlb_max(*args, p), rtlb_max(X, Y, p)
             assert summarized.to_dict() == bare.to_dict()
             assert summarized.coupling_in.plan.tobytes() == bare.coupling_in.plan.tobytes()
-    assert SX.n == X.n and SY.measure is Y.measure
+    assert SX.measure is X.measure and SY.measure is Y.measure
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +334,45 @@ def test_bound_report_rejects_broken_chain():
         )
 
 
+@st.composite
+def _scaled_pair(draw, max_cells=25):
+    """Two networks of up to 5 nodes (and max_cells plan cells) sharing one
+    weight scale from 1e-6 to 1e12, where the bounds nearly coincide."""
+    exponent = st.just(draw(st.integers(-6, 12)))
+    X = draw(scaled_network(5, exponent))
+    Y = draw(scaled_network(min(5, max_cells // X.n), exponent))
+    return X, Y
+
+
+def _chain_tol(X, Y):
+    return bounds.HIERARCHY_TOL * max(1.0, np.abs(X.weights).max(), np.abs(Y.weights).max())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pair=_scaled_pair())
+def test_rtlb_max_chain_holds_at_every_weight_scale(pair):
+    """Rounding in the bounds grows with the weights; an absolute 1e-9 made
+    rtlb_max raise on valid pairs at scales 1e8 and above."""
+    X, Y = pair
+    tol = _chain_tol(X, Y)
+    for p in (1.0, 2.0):
+        r = rtlb_max(X, Y, p)
+        for direction in ("out", "in"):
+            rf, rt = getattr(r, "rflb_" + direction), getattr(r, "rtlb_" + direction)
+            assert r.szlb <= rf + tol and rf <= rt + tol
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(pair=_scaled_pair(max_cells=BRUTEFORCE_CELL_LIMIT), p=st.sampled_from([1.0, 2.0]))
+def test_rtlb_max_below_twice_bruteforce(pair, p):
+    X, Y = pair
+    upper = gw_bruteforce(X, Y, p).value
+    assert rtlb_max(X, Y, p).rtlb_max <= 2.0 * upper + _chain_tol(X, Y)
+
+
 def test_tlb_cost_matrix_rejects_negative():
     with pytest.raises(DomainError):
-        TlbCostMatrix(C=np.array([[-0.1]]), direction="out", p=2.0)
+        TlbCostMatrix(C=np.array([[-0.1]]))
 
 
 def test_report_to_dict_round(fig2_triple):

@@ -41,7 +41,7 @@ from netgw.invariants import (
 )
 from netgw.ot import SinkhornConfig, exact_ot, wasserstein_1d
 
-from conftest import random_coupling, random_network
+from conftest import random_coupling, random_network, scaled_network
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +232,10 @@ def _loop_distortion(wx, wy, plan, p):
     return sum(d**p * mass for d, mass in terms) ** (1.0 / p)
 
 
-@st.composite
-def _scaled_network(draw):
-    n = draw(st.integers(1, 4))
-    # small integers give tied weights, floats give generic ones; both signed
-    entry = st.one_of(
-        st.integers(-3, 3).map(float), st.floats(-1.0, 1.0, allow_nan=False)
-    )
-    scale = 10.0 ** draw(st.integers(-6, 6))
-    w = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))) * scale
-    mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    return new_network(w.reshape(n, n), mass / mass.sum())
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
-    X=_scaled_network(),
-    Y=_scaled_network(),
+    X=scaled_network(),
+    Y=scaled_network(),
     kind=st.sampled_from(["product", "interior", "vertex"]),
     seed=st.integers(0, 2**32 - 1),
 )

@@ -74,7 +74,7 @@ def test_eccentricity_fig2_values(fig2_triple):
 
 def test_eccentricity_vector_rejects_negative_values():
     with pytest.raises(DomainError):
-        EccentricityVector(values=[1.0, -0.5], direction="out", p=1.0)
+        EccentricityVector(values=[1.0, -0.5])
 
 
 def test_eccentricity_directions_differ():

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import NetworkSummary, rflb, rslb, rtlb_max, szlb
-from .core import MeasureNetwork, _check_order, _freeze, new_network
+from .core import MeasureNetwork, _check_order, _freeze, new_network, read_text
 from .errors import (
     DomainError,
     IoError,
@@ -324,11 +324,7 @@ def ingest_matrix_csv(path) -> MeasureNetwork:
     rows of width n are the weights followed by one row holding the node
     measure.  Comment lines start with '#'.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as err:
-        raise IoError(f"cannot read {path}: {err}") from err
+    lines = read_text(path).splitlines()
     values = _parse_numeric_rows(lines, path)
     rows, n = values.shape
     if rows == n + 1:
@@ -343,11 +339,7 @@ def ingest_matrix_csv(path) -> MeasureNetwork:
 
 def load_dissimilarity_csv(path) -> DissimilarityMatrix:
     """Read a matrix written by emit_outputs (labels live in a comment)."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as err:
-        raise IoError(f"cannot read {path}: {err}") from err
+    lines = read_text(path).splitlines()
     labels = None
     for raw in lines:
         stripped = raw.strip()

@@ -175,7 +175,7 @@ def _tlb_pow_matrix(X, Y, p, direction):
     _check_direction(direction)
     qx, cx = _summary(X).quantiles(direction)
     qy, cy = _summary(Y).quantiles(direction)
-    return np.maximum(_kernels.tlb_pow(qx, cx, qy, cy, p), 0.0)
+    return _kernels.tlb_pow(qx, cx, qy, cy, p)
 
 
 def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatrix:

@@ -18,7 +18,7 @@ from .analysis import (
     load_dissimilarity_csv,
     single_linkage,
 )
-from .core import load_network, save_network
+from .core import load_network, read_text, save_network
 from .errors import IoError, NetgwError
 from .generators import SbmSpec, cycle_network, sample_collection
 from .invariants import (
@@ -50,9 +50,7 @@ def _load_any(path):
 
 def _load_sbm_specs(path):
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise IoError(f"cannot read {path}: {err}") from err
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise NetgwError(f"{path}: invalid JSON: {err}") from err
     if isinstance(raw, dict):

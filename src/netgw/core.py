@@ -292,6 +292,10 @@ def network_from_json(text: str) -> MeasureNetwork:
             measure = np.array(measure, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"weights and measure must be numeric arrays: {exc}") from exc
+    if weights.ndim != 2 or weights.size == 0:
+        raise ParseError(f"weights must be a non-empty 2-D array, got shape {weights.shape}")
+    if not isinstance(doc.get("labels"), (list, type(None))):
+        raise ParseError("labels must be a list or null")
     if measure is None:
         n = len(weights)
         measure = [1.0 / n] * n
@@ -307,10 +311,17 @@ def save_network(X: MeasureNetwork, path):
         raise IoError(f"cannot write {path}: {err}") from err
 
 
-def load_network(path) -> MeasureNetwork:
+def read_text(path) -> str:
+    """The UTF-8 text of a file: IoError when it cannot be read,
+    ParseError when it is not UTF-8."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
-    return network_from_json(text)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from err
+
+
+def load_network(path) -> MeasureNetwork:
+    return network_from_json(read_text(path))

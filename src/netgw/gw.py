@@ -95,7 +95,7 @@ def entropic_gw(
         except MaxItersExceededError as err:
             # a stalled inner solve still carries a usable plan, already
             # rounded onto the marginals; keep alternating from it
-            if err.partial is None or err.partial.plan is None:
+            if err.partial.plan is None:
                 inner_error = "inner solver diverged"
                 break
             new_plan = err.partial.plan.plan

@@ -8,7 +8,7 @@ one-row case of the TLB kernel's merged-quantile integral
 (_kernels.quantile_pow).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,11 +43,21 @@ def _prob_vector(v, name):
     return v
 
 
-def _finite_cost(cost):
+def _checked(cost, mu, nu):
+    """cost, mu and nu as float arrays, checked in that order: a finite
+    cost, two probability vectors, and sizes that match the cost's shape;
+    InfeasibleError otherwise."""
     cost = np.asarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
         raise InfeasibleError("cost must be finite")
-    return cost
+    mu = _prob_vector(mu, "mu")
+    nu = _prob_vector(nu, "nu")
+    if cost.shape != (mu.size, nu.size):
+        raise InfeasibleError(
+            f"cost shape {cost.shape} does not match marginals "
+            f"({mu.size}, {nu.size})"
+        )
+    return cost, mu, nu
 
 
 def exact_ot(cost, mu, nu):
@@ -58,15 +68,8 @@ def exact_ot(cost, mu, nu):
     divides the other, otherwise the column-generation HiGHS LP
     (_transport_lp, which scales the cost; objective in the cost's units).
     """
-    cost = _finite_cost(cost)
-    mu = _prob_vector(mu, "mu")
-    nu = _prob_vector(nu, "nu")
+    cost, mu, nu = _checked(cost, mu, nu)
     m, n = cost.shape
-    if mu.size != m or nu.size != n:
-        raise InfeasibleError(
-            f"cost shape {cost.shape} does not match marginals "
-            f"({mu.size}, {nu.size})"
-        )
     small, large = sorted(cost.shape)
     if small > 1 and large % small == 0 and np.ptp(mu) == np.ptp(nu) == 0:
         # tile to L x L, L = large; each assigned cell carries mass 1/L
@@ -232,29 +235,6 @@ class SinkhornConfig:
 
 
 @dataclass(frozen=True)
-class KernelState:
-    """Stabilized kernel with absorbed log-domain potentials.
-
-    K holds exp(lam * (-cost + u_i + v_j + 2*gamma)); a global exponent
-    translation by 2*gamma does not change the Sinkhorn fixed point, it
-    only recenters the representable range.
-    """
-
-    K: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        kmin = float(self.K.min())
-        if not (kmin >= TINY_NORMAL) or not np.all(np.isfinite(self.K)):
-            raise KernelUnderflowError(
-                "kernel entries must be finite and >= the smallest "
-                f"positive normal value, min entry {kmin!r}"
-            )
-
-
-@dataclass(frozen=True)
 class SinkhornResult:
     """Plan plus solver diagnostics.
 
@@ -271,37 +251,6 @@ class SinkhornResult:
     kernel_min: float
     kernel_max: float
     converged: bool
-
-
-def log_initialize(cost, lam) -> KernelState:
-    """Initial kernel with exponents recentered about zero.
-
-    Raises RangeTooWide when lam*(max-min)/2 exceeds the largest
-    exponent for which every entry stays a normal double; no
-    translation can help then.
-    """
-    cost = _finite_cost(cost)
-    lam = float(lam)
-    if not lam > 0.0:
-        raise DomainError("lam must be > 0")
-    alpha = float(cost.min())
-    beta = float(cost.max())
-    # exponents lam*(-cost + 2*gamma) then lie in +-lam*(beta-alpha)/2
-    gamma = (alpha + beta) / 4.0
-    half_range = lam * (beta - alpha) / 2.0
-    if half_range > LOG_RANGE_LIMIT:
-        raise RangeTooWideError(
-            f"exponent half-range {half_range:.3g} exceeds "
-            f"{LOG_RANGE_LIMIT:.6g}; no translation keeps the kernel "
-            "representable"
-        )
-    K = np.exp(lam * (-cost + 2.0 * gamma))
-    return KernelState(
-        K=K,
-        u=np.zeros(cost.shape[0]),
-        v=np.zeros(cost.shape[1]),
-        gamma=gamma,
-    )
 
 
 def _round_to_marginals(plan, mu, nu):
@@ -327,50 +276,69 @@ def _round_to_marginals(plan, mu, nu):
 def sinkhorn(cost, cfg: SinkhornConfig, mu, nu) -> SinkhornResult:
     """Plain Sinkhorn iteration on K = exp(-lam * cost).
 
-    Raises KernelUnderflow when any kernel entry falls below the
-    smallest positive normal double at initialization; use
-    sinkhorn_log for such instances.  Runs the sinkhorn_log loop from
-    that kernel with absorption switched off.
+    Checks cost, mu and nu (see _checked), then the kernel: it raises
+    KernelUnderflow when an entry is infinite or below the smallest
+    positive normal double; use sinkhorn_log for such instances.  Runs
+    the sinkhorn_log loop at gamma = 0 with absorption switched off.
     """
-    cost = _finite_cost(cost)
-    with np.errstate(over="ignore", under="ignore"):
-        K = np.exp(-cfg.lam * cost)
-    state = KernelState(K=K, u=np.zeros(K.shape[0]), v=np.zeros(K.shape[1]), gamma=0.0)
-    return sinkhorn_log(
-        cost, replace(cfg, absorb_threshold=np.inf), mu, nu, state=state
-    )
+    cost, mu, nu = _checked(cost, mu, nu)
+    return _scaling(cost, cfg, mu, nu, 0.0, np.inf)
 
 
-def sinkhorn_log(cost, cfg: SinkhornConfig, mu, nu, state=None) -> SinkhornResult:
+def sinkhorn_log(cost, cfg: SinkhornConfig, mu, nu) -> SinkhornResult:
     """Sinkhorn with log-domain absorption of the scaling vectors.
 
-    When max(a, b) exceeds cfg.absorb_threshold the scalings are folded
-    into the potentials (u += log(a)/lam) and the kernel is rebuilt as
-    exp(lam * (-cost + u_i + v_j + 2*gamma)).  The kernel starts from
-    ``state`` (default: log_initialize(cost, cfg.lam)).  The plan
-    returned, or carried by MaxItersExceeded, is the last iterate rounded
-    onto (mu, nu); see SinkhornResult.
+    The kernel is exp(lam * (-cost + u_i + v_j + 2*gamma)) with the
+    potentials u, v starting at zero.  gamma = (min + max) / 4 of the
+    cost is a global shift that leaves the fixed point unchanged and
+    centres the starting exponents in +-lam*(max - min)/2.  Checks cost,
+    mu and nu (see _checked), then raises RangeTooWide when that
+    half-range exceeds LOG_RANGE_LIMIT, where no shift keeps every entry
+    a normal double.  When max(a, b) exceeds cfg.absorb_threshold the
+    scalings are folded into the potentials (u += log(a)/lam) and the
+    kernel is rebuilt.  The plan returned, or carried by MaxItersExceeded,
+    is the last iterate rounded onto (mu, nu); see SinkhornResult.
     """
-    cost = _finite_cost(cost)
-    mu = _prob_vector(mu, "mu")
-    nu = _prob_vector(nu, "nu")
-    if state is None:
-        state = log_initialize(cost, cfg.lam)
-    K, u, v, gamma = state.K, state.u, state.v, state.gamma
+    cost, mu, nu = _checked(cost, mu, nu)
+    alpha, beta = float(cost.min()), float(cost.max())
+    half_range = cfg.lam * (beta - alpha) / 2.0
+    if half_range > LOG_RANGE_LIMIT:
+        raise RangeTooWideError(
+            f"exponent half-range {half_range:.3g} exceeds "
+            f"{LOG_RANGE_LIMIT:.6g}; no translation keeps the kernel "
+            "representable"
+        )
+    return _scaling(cost, cfg, mu, nu, (alpha + beta) / 4.0, cfg.absorb_threshold)
+
+
+def _kernel(cost, lam, u, v, gamma):
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(lam * (-cost + u[:, None] + v[None, :] + 2.0 * gamma))
+
+
+def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
+    """The Sinkhorn loop on checked inputs.  Its kernel starts from zero
+    potentials, where it must be finite with every entry a normal double
+    (else KernelUnderflow), and is rebuilt at every absorption."""
+    u = np.zeros(mu.size)
+    v = np.zeros(nu.size)
+    K = _kernel(cost, cfg.lam, u, v, gamma)
     kernel_min = float(K.min())
     kernel_max = float(K.max())
+    if not (kernel_min >= TINY_NORMAL and kernel_max < np.inf):
+        raise KernelUnderflowError(
+            "kernel entries must be finite and >= the smallest positive "
+            f"normal value, entries span [{kernel_min!r}, {kernel_max!r}]"
+        )
     kta = K.T @ np.ones(mu.size)
     absorptions = 0
     for it in range(1, cfg.max_iters + 1):
         b = nu / kta
         a = mu / (K @ b)
-        if max(float(a.max()), float(b.max())) > cfg.absorb_threshold:
+        if max(float(a.max()), float(b.max())) > absorb_threshold:
             u = u + np.log(a) / cfg.lam
             v = v + np.log(b) / cfg.lam
-            with np.errstate(over="ignore", under="ignore"):
-                K = np.exp(
-                    cfg.lam * (-cost + u[:, None] + v[None, :] + 2.0 * gamma)
-                )
+            K = _kernel(cost, cfg.lam, u, v, gamma)
             if not np.all(np.isfinite(K)):
                 raise KernelUnderflowError(
                     "absorbed kernel overflowed; lower lam or raise "

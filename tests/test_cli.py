@@ -238,6 +238,13 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["generate", "--spec", "missing-spec.json"],
         ["compare", "ok.json", "ok.json", "--workers", "0"],
         ["compare", "ok.json", "ok.json", "--workers", "-3"],
+        ["compare", "empty-weights.json", "ok.json"],
+        ["compare", "scalar-weights.json", "ok.json"],
+        ["compare", "scalar-labels.json", "ok.json"],
+        ["compare", "latin1.json", "ok.json"],
+        ["cluster", "latin1.csv"],
+        ["invariant", "latin1.csv", "--kind", "size"],
+        ["generate", "--spec", "latin1.json"],
     ],
     ids=[
         "missing-file",
@@ -261,6 +268,13 @@ def test_compare_empty_directory(tmp_path, capsys):
         "missing-spec",
         "zero-workers",
         "negative-workers",
+        "empty-weights",
+        "scalar-weights",
+        "scalar-labels",
+        "non-utf8-network",
+        "non-utf8-dissimilarity",
+        "non-utf8-matrix",
+        "non-utf8-spec",
     ],
 )
 def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
@@ -274,6 +288,12 @@ def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "text-sizes.json").write_text(spec % '["x", 2]')
     (tmp_path / "scalar-sizes.json").write_text(spec % "3")
     (tmp_path / "taken").write_text("")
+    (tmp_path / "empty-weights.json").write_text('{"weights": []}')
+    (tmp_path / "scalar-weights.json").write_text('{"weights": 5}')
+    (tmp_path / "scalar-labels.json").write_text('{"weights": [[1]], "labels": 7}')
+    latin1 = '{"labels": ["\u00e9"], "weights": [[0]]}'.encode("latin-1")
+    (tmp_path / "latin1.json").write_bytes(latin1)
+    (tmp_path / "latin1.csv").write_bytes("# labels: \u00e9\n0\n".encode("latin-1"))
     (tmp_path / "manifest-dir" / "manifest.csv").mkdir(parents=True)
     monkeypatch.chdir(tmp_path)
     if "--out" not in argv:

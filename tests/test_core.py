@@ -502,6 +502,15 @@ def test_network_json_errors():
         network_from_json('{"weights": [[0, 1], [1]]}')
     with pytest.raises(ParseError):
         network_from_json('{"weights": [[0, 1], [1, 0]], "measure": [0.5, [0.5]]}')
+    for text in (
+        '{"weights": []}',
+        '{"weights": [[]]}',
+        '{"weights": 5}',
+        '{"weights": [[1]], "labels": 7}',
+        '{"weights": [[1]], "labels": "a"}',
+    ):
+        with pytest.raises(ParseError):
+            network_from_json(text)
 
 
 def test_network_to_json_is_loadable(fig2_triple):

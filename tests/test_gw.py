@@ -147,13 +147,11 @@ def test_entropic_gw_reports_range_failure():
     assert "RangeTooWide" in res.inner_error
 
 
-@pytest.mark.parametrize("partial", [
-    None,
-    SinkhornResult(plan=None, iterations=3, marginal_error=np.inf, absorptions=0,
-                   kernel_min=1.0, kernel_max=1.0, converged=False),
-])
-def test_entropic_gw_reports_diverged_inner_solve(monkeypatch, partial):
+def test_entropic_gw_reports_diverged_inner_solve(monkeypatch):
     # a stalled inner solve with no plan to carry on from ends the run
+    partial = SinkhornResult(plan=None, iterations=3, marginal_error=np.inf, absorptions=0,
+                             kernel_min=1.0, kernel_max=1.0, converged=False)
+
     def diverged(*args):
         raise MaxItersExceededError("diverged", partial=partial)
 

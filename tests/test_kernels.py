@@ -4,6 +4,7 @@ import pytest
 
 from netgw import _kernels
 from netgw.bounds import _local_quantiles
+from netgw.core import new_network
 
 from conftest import random_coupling, random_network
 
@@ -77,3 +78,12 @@ def test_tlb_pow_numpy_identical_rows_exact_zero(rng):
     for p in (1.0, 2.0):
         out = _kernels.tlb_pow(qx, cx, qx, cx, p)
         npt.assert_array_equal(np.diag(out), np.zeros(6))
+    # against a node-permuted copy the zeros move off the diagonal, and no
+    # entry comes back negative, however far the expansion cancels
+    perm = rng.permutation(6)
+    Y = new_network(X.weights[np.ix_(perm, perm)], X.measure[perm])
+    qy, cy = _local_quantiles(Y, "out")
+    for p in (1.0, 2.0):
+        out = _kernels.tlb_pow(qx, cx, qy, cy, p)
+        assert np.all(out >= 0.0)
+        npt.assert_array_equal(out[perm, np.arange(6)], np.zeros(6))

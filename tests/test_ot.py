@@ -22,12 +22,10 @@ from netgw.invariants import sphere_discretize
 from netgw.ot import (
     LOG_RANGE_LIMIT,
     TINY_NORMAL,
-    KernelState,
     SinkhornConfig,
     _round_to_marginals,
     _transport_lp,
     exact_ot,
-    log_initialize,
     sinkhorn,
     sinkhorn_log,
     wasserstein_1d,
@@ -114,22 +112,24 @@ def test_exact_ot_beats_random_plans():
         assert objective <= float(np.sum(plan * cost)) + 1e-9
 
 
-def test_exact_ot_input_checks():
-    with pytest.raises(InfeasibleError):
-        exact_ot(np.zeros((2, 2)), [0.5, 0.6], [0.5, 0.5])
-    with pytest.raises(InfeasibleError):
-        exact_ot(np.zeros((2, 2)), [-0.5, 1.5], [0.5, 0.5])
-    with pytest.raises(InfeasibleError):
-        exact_ot(np.zeros((2, 3)), [0.5, 0.5], [0.5, 0.5])
-    with pytest.raises(InfeasibleError):
-        exact_ot([[np.inf, 0.0], [0.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
-
-
 _SOLVERS = {
     "exact_ot": exact_ot,
     "sinkhorn": lambda cost, mu, nu: sinkhorn(cost, SinkhornConfig(lam=1.0), mu, nu),
     "sinkhorn_log": lambda cost, mu, nu: sinkhorn_log(cost, SinkhornConfig(lam=1.0), mu, nu),
 }
+
+
+def test_exact_ot_input_checks():
+    # the Sinkhorn solvers share exact_ot's input checks
+    for solver in _SOLVERS.values():
+        with pytest.raises(InfeasibleError):
+            solver(np.zeros((2, 2)), [0.5, 0.6], [0.5, 0.5])
+        with pytest.raises(InfeasibleError):
+            solver(np.zeros((2, 2)), [-0.5, 1.5], [0.5, 0.5])
+        with pytest.raises(InfeasibleError):
+            solver(np.zeros((2, 3)), [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(InfeasibleError):
+            solver([[np.inf, 0.0], [0.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -372,65 +372,58 @@ def test_wasserstein_1d_rejects_bad_order():
 
 
 # ---------------------------------------------------------------------------
-# kernel initialization
+# kernel range
 
 
-def test_log_initialize_constant_cost():
-    state = log_initialize(np.full((3, 3), 7.0), 2.5)
-    assert state.gamma == 3.5
-    npt.assert_array_equal(state.K, np.ones((3, 3)))
+def test_sinkhorn_log_constant_cost():
+    # gamma = 3.5 recentres every exponent to zero: the kernel is all ones
+    mu = np.array([0.25, 0.75])
+    nu = np.array([0.5, 0.25, 0.25])
+    res = sinkhorn_log(np.full((2, 3), 7.0), SinkhornConfig(lam=2.5), mu, nu)
+    assert res.kernel_min == res.kernel_max == 1.0
+    npt.assert_allclose(res.plan.plan, np.outer(mu, nu), atol=1e-12)
 
 
-def test_log_initialize_wide_but_representable():
-    # half-range 250 is fine even though exp(-lam*cost) itself underflows
-    cost = np.array([[0.0, 1000.0], [1000.0, 0.0]])
-    state = log_initialize(cost, 0.5)
-    assert state.gamma == 250.0
-    assert state.K.max() == pytest.approx(np.exp(250.0), rel=1e-12)
-    assert state.K.min() >= TINY_NORMAL
+def test_sinkhorn_log_wide_but_representable():
+    # half-range 500 is fine even though exp(-lam*cost) itself underflows
+    cost = np.array([[0.0, 2000.0], [2000.0, 0.0]])
+    cfg = SinkhornConfig(lam=0.5)
+    with pytest.raises(KernelUnderflowError):
+        sinkhorn(cost, cfg, [0.5, 0.5], [0.5, 0.5])
+    res = sinkhorn_log(cost, cfg, [0.5, 0.5], [0.5, 0.5])
+    assert res.kernel_max == pytest.approx(np.exp(500.0), rel=1e-12)
+    assert res.kernel_min >= TINY_NORMAL
+    npt.assert_allclose(res.plan.plan, np.diag([0.5, 0.5]), atol=1e-12)
 
 
-def test_log_initialize_range_too_wide():
+def test_sinkhorn_log_range_too_wide():
     cost = np.array([[0.0, 4000.0], [4000.0, 0.0]])
     with pytest.raises(RangeTooWideError):
-        log_initialize(cost, 0.5)
+        sinkhorn_log(cost, SinkhornConfig(lam=0.5), [0.5, 0.5], [0.5, 0.5])
 
 
-def test_log_initialize_limit_is_sharp():
+def test_sinkhorn_log_range_limit_is_sharp():
     # just inside / just outside the representable half-range
+    cfg = SinkhornConfig(lam=1.0)
     inside = np.array([[0.0, 2.0 * (LOG_RANGE_LIMIT - 1e-6)]])
-    state = log_initialize(inside, 1.0)
-    assert state.K.min() >= TINY_NORMAL
+    res = sinkhorn_log(inside, cfg, [1.0], [0.5, 0.5])
+    assert res.kernel_min >= TINY_NORMAL
     outside = np.array([[0.0, 2.0 * (LOG_RANGE_LIMIT + 1e-6)]])
     with pytest.raises(RangeTooWideError):
-        log_initialize(outside, 1.0)
-
-
-@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
-def test_log_initialize_rejects_bad_lam(lam):
-    with pytest.raises(DomainError):
-        log_initialize(np.zeros((2, 2)), lam)
-
-
-def test_kernel_state_rejects_subnormal_entries():
-    with pytest.raises(KernelUnderflowError):
-        KernelState(
-            K=np.array([[1.0, TINY_NORMAL / 4.0]]),
-            u=np.zeros(1),
-            v=np.zeros(2),
-            gamma=0.0,
-        )
+        sinkhorn_log(outside, cfg, [1.0], [0.5, 0.5])
 
 
 def test_sinkhorn_config_validation():
-    with pytest.raises(ValueError):
-        SinkhornConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        SinkhornConfig(lam=1.0, tolerance=0.0)
-    with pytest.raises(ValueError):
-        SinkhornConfig(lam=1.0, absorb_threshold=1.0)
-    with pytest.raises(ValueError):
-        SinkhornConfig(lam=1.0, max_iters=0)
+    for bad in (
+        {"lam": 0.0},
+        {"lam": -1.0},
+        {"lam": np.nan},
+        {"lam": 1.0, "tolerance": 0.0},
+        {"lam": 1.0, "absorb_threshold": 1.0},
+        {"lam": 1.0, "max_iters": 0},
+    ):
+        with pytest.raises(DomainError):
+            SinkhornConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +459,9 @@ def test_sinkhorn_underflow_raises():
     cost = np.array([[0.0, 1000.0], [1000.0, 0.0]])
     with pytest.raises(KernelUnderflowError):
         sinkhorn(cost, SinkhornConfig(lam=200.0), [0.5, 0.5], [0.5, 0.5])
+    # the marginals are checked before the kernel is built
+    with pytest.raises(InfeasibleError):
+        sinkhorn(cost, SinkhornConfig(lam=200.0), [0.5, 0.6], [0.5, 0.5])
 
 
 def test_sinkhorn_max_iters_carries_partial(rng):
@@ -520,16 +516,6 @@ def test_sinkhorn_log_absorption_path(rng):
     npt.assert_allclose(reference.plan.plan, forced.plan.plan, atol=1e-8)
 
 
-def test_sinkhorn_log_accepts_prepared_state(rng):
-    cost = rng.uniform(0.0, 2.0, size=(3, 3))
-    mu, nu = _random_marginals(rng, 3, 3)
-    cfg = SinkhornConfig(lam=10.0)
-    state = log_initialize(cost, cfg.lam)
-    a = sinkhorn_log(cost, cfg, mu, nu, state=state)
-    b = sinkhorn_log(cost, cfg, mu, nu)
-    npt.assert_array_equal(a.plan.plan, b.plan.plan)
-
-
 def test_sinkhorn_marginals_within_tolerance(rng):
     # the returned plan is a coupling of (mu, nu) however loose the stop
     for tolerance in (1e-9, 1e-4):
@@ -548,13 +534,19 @@ def _full_check_sinkhorn(cost, cfg, mu, nu, plain):
     every step: (iterations, absorptions, converged, raw plan, row error,
     column error)."""
     if plain:
-        with np.errstate(over="ignore", under="ignore"):
-            K = np.exp(-cfg.lam * cost)
-        state = KernelState(K=K, u=np.zeros(K.shape[0]), v=np.zeros(K.shape[1]), gamma=0.0)
+        K = np.exp(-cfg.lam * cost)
+        gamma = 0.0
         cfg = replace(cfg, absorb_threshold=np.inf)
     else:
-        state = log_initialize(cost, cfg.lam)
-    K, u, v, gamma = state.K, state.u, state.v, state.gamma
+        alpha, beta = cost.min(), cost.max()
+        if cfg.lam * (beta - alpha) / 2.0 > LOG_RANGE_LIMIT:
+            raise RangeTooWideError("exponent half-range too wide")
+        gamma = (alpha + beta) / 4.0
+        K = np.exp(cfg.lam * (-cost + 2.0 * gamma))
+    if not (K.min() >= TINY_NORMAL and np.all(np.isfinite(K))):
+        raise KernelUnderflowError("kernel out of range")
+    u = np.zeros(mu.size)
+    v = np.zeros(nu.size)
     a = np.ones(mu.size)
     b = np.ones(nu.size)
     absorptions = 0

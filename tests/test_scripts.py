@@ -1,6 +1,8 @@
-"""The scripts under scripts/ import, and bench_exact_ot's gate holds on tiny inputs."""
+"""The scripts under scripts/ import, bench_exact_ot's gate holds on tiny
+inputs, and the two result gates run end to end."""
 
 import importlib
+import json
 import os
 from pathlib import Path
 from unittest import mock
@@ -41,3 +43,17 @@ def test_bench_exact_ot_gate_on_small_costs(scripts_path):
     assert total["worst_marginal_error"] <= 1e-12
     assert total["worst_dual_excess"] <= 1e-12
     assert total["worst_dual_shortfall"] <= 1e-12
+
+
+def test_fingerprint_results_runs(scripts_path, capsys):
+    fingerprint = importlib.import_module("fingerprint_results")
+    assert fingerprint.main() == 0
+    out = json.loads(capsys.readouterr().out)
+    assert isinstance(out, dict) and out
+
+
+def test_oracle_values_has_no_sandwich_violation(scripts_path, capsys):
+    # main returns 1 when a lower bound exceeds twice the brute-force value
+    oracle = importlib.import_module("oracle_values")
+    assert oracle.main([]) == 0
+    assert json.loads(capsys.readouterr().out)["sandwich_violations"] == []

@@ -413,11 +413,17 @@ def test_sinkhorn_log_range_limit_is_sharp():
         sinkhorn_log(outside, cfg, [1.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_log_initialize_rejects_bad_lam(lam):
+    # the log-domain start takes lam only through SinkhornConfig, which
+    # refuses it before sinkhorn_log builds a kernel
+    with pytest.raises(DomainError):
+        sinkhorn_log(np.zeros((2, 2)), SinkhornConfig(lam=lam), [0.5, 0.5], [0.5, 0.5])
+
+
 def test_sinkhorn_config_validation():
     for bad in (
         {"lam": 0.0},
-        {"lam": -1.0},
-        {"lam": np.nan},
         {"lam": 1.0, "tolerance": 0.0},
         {"lam": 1.0, "absorb_threshold": 1.0},
         {"lam": 1.0, "max_iters": 0},

@@ -74,7 +74,7 @@ class MeasureNetwork:
             raise NonSquareWeightsError("weights contain non-finite entries")
         if m.ndim != 1 or m.size != w.shape[0]:
             raise NonSquareWeightsError(
-                f"measure length {m.size} does not match {w.shape[0]} nodes"
+                f"measure of shape {m.shape} does not match {w.shape[0]} nodes"
             )
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise NonPositiveMassError(
@@ -294,6 +294,8 @@ def network_from_json(text: str) -> MeasureNetwork:
         raise ParseError(f"weights and measure must be numeric arrays: {exc}") from exc
     if weights.ndim != 2 or weights.size == 0:
         raise ParseError(f"weights must be a non-empty 2-D array, got shape {weights.shape}")
+    if measure is not None and measure.ndim != 1:
+        raise ParseError(f"measure must be a 1-D array, got shape {measure.shape}")
     if not isinstance(doc.get("labels"), (list, type(None))):
         raise ParseError("labels must be a list or null")
     if measure is None:

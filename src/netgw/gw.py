@@ -1,9 +1,9 @@
-"""Network GW distance: entropic solver, tiny near-exhaustive search, cosine rule."""
+"""Network GW distance: entropic solver, exact tiny-instance oracle, cosine rule."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import _kernels
 from .core import (
@@ -21,11 +21,13 @@ from .errors import (
     MaxItersExceededError,
     RangeTooWideError,
 )
-from .invariants import eccentricity, size_p
-from .ot import SinkhornConfig, _round_to_marginals, exact_ot, sinkhorn_log
+from .invariants import size_p
+
+# _round_to_marginals is not called here, but perfbench's gw.round span patches
+# netgw.gw._round_to_marginals and scripts/fingerprint_results.py imports it from here
+from .ot import SinkhornConfig, _round_to_marginals, sinkhorn_log  # noqa: F401
 
 BRUTEFORCE_CELL_LIMIT = 9
-BRUTEFORCE_GRID = 8
 
 
 @dataclass(frozen=True)
@@ -121,54 +123,20 @@ def entropic_gw(
     )
 
 
-def _rounded_margin(measure, grid_k):
-    # integer margin with the same total, biggest fractional parts win
-    raw = measure * grid_k
-    floor = np.floor(raw).astype(np.int64)
-    # the floors never sum above grid_k: the measure sums to 1 within 1e-12
-    deficit = grid_k - int(floor.sum())
-    for idx in np.argsort(raw - floor)[::-1][:deficit]:
-        floor[idx] += 1
-    return floor
-
-
-def _tables(row_sums, col_sums):
-    # all nonneg integer matrices with the given margins, depth-first
-    m, n = len(row_sums), len(col_sums)
-    table = np.zeros((m, n), dtype=np.int64)
-    remaining = np.array(col_sums, dtype=np.int64)
-
-    def compositions(total, caps):
-        if len(caps) == 1:
-            if total <= caps[0]:
-                yield (total,)
-            return
-        for first in range(min(total, caps[0]) + 1):
-            for rest in compositions(total - first, caps[1:]):
-                yield (first,) + rest
-
-    def rec(i):
-        if i == m:
-            yield table.copy()
-            return
-        for row in compositions(int(row_sums[i]), tuple(int(c) for c in remaining)):
-            table[i] = row
-            remaining[:] -= row
-            yield from rec(i + 1)
-            remaining[:] += row
-
-    yield from rec(0)
-
-
 def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
-    """Near-exhaustive search over the coupling polytope for tiny inputs.
+    """d_{N,p} of a tiny pair (m*n <= BRUTEFORCE_CELL_LIMIT), exactly.
 
-    Rounds every integer contingency table at resolution 1/BRUTEFORCE_GRID
-    onto (mu, nu), adds a few seeds (among them exact_ot optima of two
-    eccentricity costs), and polishes the best with
-    SLSQP (finite p), rounding again.  The value is the distortion of a
-    coupling: an upper bound on d_{N,p}, not exact, that can sit above it
-    when no table lies near an optimal coupling.
+    For finite p, dis_p^p(P) = vec(P)^T G vec(P) with G[(i,j),(k,l)] =
+    |wx[i,k] - wy[j,l]|^p.  A minimizer lies in the relative interior of a
+    face of the coupling polytope (the plans supported on some cell set S),
+    so it is a stationary point of the form on that face's affine hull.
+    Each S covering every row and column gives one candidate, the
+    least-squares stationary point, kept if nonnegative to 1e-12 (then
+    clipped).  Where the form is singular on a face, that point has the
+    minimum's value or the minimum also lies on a lower face.  dis_sup only
+    grows with the support, so p = inf tries the vertices only.  One row or
+    column forces the product plan.  iterations counts the candidates kept.
+    Raises DomainError when the form overflows.
     """
     p = _check_order(p)
     m, n = X.n, Y.n
@@ -179,55 +147,50 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
         )
     wx, wy = X.weights, Y.weights
     mu, nu = X.measure, Y.measure
+    gap = np.abs(wx[:, None, :, None] - wy[None, :, None, :]).reshape(m * n, m * n)
+    form = gap**p if np.isfinite(p) else gap
+    if not np.all(np.isfinite(form)):
+        raise DomainError(f"the distortion form at p={p} overflows")
+    # stationarity needs the symmetric part: G is not symmetric for directed weights
+    form = form + form.T
 
-    candidates = [np.outer(mu, nu)]
-    if m == n and np.allclose(mu, nu, atol=1e-12):
-        candidates.append(np.diag(mu))
-    # seeds: exact_ot optima of two surrogate costs
-    for direction in ("out", "in"):
-        ecc_x = eccentricity(X, p if np.isfinite(p) else 2.0, direction).values
-        ecc_y = eccentricity(Y, p if np.isfinite(p) else 2.0, direction).values
-        seed, _ = exact_ot(np.abs(ecc_x[:, None] - ecc_y[None, :]), mu, nu)
-        candidates.append(np.array(seed.plan))
-
-    row_sums = _rounded_margin(mu, BRUTEFORCE_GRID)
-    col_sums = _rounded_margin(nu, BRUTEFORCE_GRID)
-    for table in _tables(row_sums, col_sums):
-        candidates.append(_round_to_marginals(table / BRUTEFORCE_GRID, mu, nu))
-
-    scored = sorted(
-        ((float(_kernels.dis_pow(wx, wy, c, p)), i) for i, c in enumerate(candidates)),
-        key=lambda t: t[0],
-    )
-
-    best_pow, best_idx = scored[0]
-    best_plan = candidates[best_idx]
-    if np.isfinite(p):
-        constraints = [
-            {"type": "eq", "fun": lambda v: v.reshape(m, n).sum(axis=1) - mu},
-            # the last column sum follows from the others, and SLSQP
-            # stalls at its start point under a redundant equality
-            {"type": "eq", "fun": lambda v: v.reshape(m, n)[:, :-1].sum(axis=0) - nu[:-1]},
-        ]
-        bounds = [(0.0, 1.0)] * (m * n)
-        for _, idx in scored[:10]:
-            res = optimize.minimize(
-                lambda v: _kernels.dis_pow(wx, wy, np.ascontiguousarray(v.reshape(m, n)), p),
-                candidates[idx].ravel(),
-                method="SLSQP",
-                bounds=bounds,
-                constraints=constraints,
-                options={"maxiter": 200, "ftol": 1e-14},
-            )
-            if not res.success:
+    if m == 1 or n == 1:
+        candidates = [np.outer(mu, nu)]
+    else:
+        # marginal equations: row i sums the cells (i, *), row m + j the cells (*, j)
+        margins = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+        target = np.concatenate([mu, nu])
+        candidates = []
+        for support in itertools.product((False, True), repeat=m * n):
+            on = np.flatnonzero(support)
+            a = margins[:, on]
+            if not a.any(axis=1).all():
                 continue
-            polished = _round_to_marginals(res.x.reshape(m, n), mu, nu)
-            value = float(_kernels.dis_pow(wx, wy, polished, p))
-            if value < best_pow:
-                best_pow, best_plan = value, polished
+            u, sv, vt = np.linalg.svd(a)
+            rank = np.count_nonzero(sv > 1e-9)
+            pinv = vt[:rank].T @ (u[:, :rank].T / sv[:rank, None])
+            x = pinv @ target
+            if np.linalg.norm(a @ x - target) > 1e-12:
+                continue
+            null = vt[rank:].T
+            if null.shape[1]:
+                if not np.isfinite(p):
+                    continue
+                h = form[np.ix_(on, on)]
+                z, *_ = np.linalg.lstsq(null.T @ h @ null, -(null.T @ h @ x), rcond=None)
+                x = x + null @ z
+            # refine once: a plan a few ulps short of the marginals scores below d_N
+            x -= pinv @ (a @ x - target)
+            if x.min() < -1e-12:
+                continue
+            plan = np.zeros(m * n)
+            plan[on] = np.maximum(x, 0.0)
+            candidates.append(plan.reshape(m, n))
 
-    coupling = Coupling(plan=best_plan, row_marginal=mu, col_marginal=nu)
-    dis = best_pow ** (1.0 / p) if np.isfinite(p) else best_pow
+    scores = [float(_kernels.dis_pow(wx, wy, c, p)) for c in candidates]
+    best = int(np.argmin(scores))
+    coupling = Coupling(plan=candidates[best], row_marginal=mu, col_marginal=nu)
+    dis = scores[best] ** (1.0 / p) if np.isfinite(p) else scores[best]
     return GwResult(
         coupling=coupling, value=0.5 * dis, iterations=len(candidates), converged=True
     )

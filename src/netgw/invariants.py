@@ -169,17 +169,20 @@ def sphere_subsize_closed_form(n, p, t) -> float:
     t = min(t, math.pi)
     if t == 0.0:
         return 0.0
-    if n == 1:
-        return (t ** (p + 1.0) / ((p + 1.0) * math.pi)) ** (1.0 / p)
-    ratio = sphere_surface_area(n - 1) / sphere_surface_area(n)
-    integral, _ = quad(
-        lambda phi: phi**p * math.sin(phi) ** (n - 1),
-        0.0,
-        t,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
+    try:
+        if n == 1:
+            return (t ** (p + 1.0) / ((p + 1.0) * math.pi)) ** (1.0 / p)
+        ratio = sphere_surface_area(n - 1) / sphere_surface_area(n)
+        integral, _ = quad(
+            lambda phi: phi**p * math.sin(phi) ** (n - 1),
+            0.0,
+            t,
+            epsabs=1e-12,
+            epsrel=1e-12,
+            limit=200,
+        )
+    except OverflowError as err:
+        raise DomainError(f"sphere size at p={p} overflows") from err
     return (ratio * integral) ** (1.0 / p)
 
 
@@ -238,8 +241,8 @@ class SizeCurve:
             raise KindMismatchError(f"unknown curve kind {self.kind!r}")
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise DomainError("grid and values must be equal-length, size >= 2")
-        if not np.all(np.isfinite(grid)):
-            raise DomainError("grid points must be finite")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise DomainError("size curve grid points and values must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise DomainError("grid must be strictly increasing")
         steps = np.diff(values)

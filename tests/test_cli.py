@@ -245,6 +245,8 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["cluster", "latin1.csv"],
         ["invariant", "latin1.csv", "--kind", "size"],
         ["generate", "--spec", "latin1.json"],
+        ["invariant", "huge.json", "--kind", "subsize", "--p", "2"],
+        ["sphere-bound", "--n1", "1", "--n2", "2", "--p", "1000"],
     ],
     ids=[
         "missing-file",
@@ -275,8 +277,11 @@ def test_compare_empty_directory(tmp_path, capsys):
         "non-utf8-dissimilarity",
         "non-utf8-matrix",
         "non-utf8-spec",
+        "non-finite-size-curve",
+        "sphere-size-overflow",
     ],
 )
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "bad.json").write_text('{"weights": [[0, "x"], [1, 0]]}')
     (tmp_path / "ok.json").write_text('{"weights": [[0, 1], [1, 0]]}')
@@ -291,6 +296,7 @@ def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "empty-weights.json").write_text('{"weights": []}')
     (tmp_path / "scalar-weights.json").write_text('{"weights": 5}')
     (tmp_path / "scalar-labels.json").write_text('{"weights": [[1]], "labels": 7}')
+    (tmp_path / "huge.json").write_text('{"weights": [[0, 1e200], [1e200, 0]]}')
     latin1 = '{"labels": ["\u00e9"], "weights": [[0]]}'.encode("latin-1")
     (tmp_path / "latin1.json").write_bytes(latin1)
     (tmp_path / "latin1.csv").write_bytes("# labels: \u00e9\n0\n".encode("latin-1"))

@@ -61,6 +61,8 @@ def test_new_network_rejects_nonfinite_weights():
 def test_new_network_rejects_measure_length_mismatch():
     with pytest.raises(NonSquareWeightsError):
         new_network(np.zeros((2, 2)), [1.0])
+    with pytest.raises(NonSquareWeightsError, match=r"shape \(1, 2\)"):
+        new_network(np.zeros((2, 2)), [[0.5, 0.5]])
 
 
 def test_new_network_rejects_nonpositive_measure():
@@ -508,6 +510,8 @@ def test_network_json_errors():
         '{"weights": 5}',
         '{"weights": [[1]], "labels": 7}',
         '{"weights": [[1]], "labels": "a"}',
+        '{"weights": [[1]], "measure": 5}',
+        '{"weights": [[0, 1], [1, 0]], "measure": [[0.5, 0.5]]}',
     ):
         with pytest.raises(ParseError):
             network_from_json(text)

@@ -24,7 +24,7 @@ from netgw.gw import (
     entropic_gw,
     gw_bruteforce,
 )
-from netgw.ot import SinkhornConfig, SinkhornResult, _round_to_marginals
+from netgw.ot import SinkhornConfig, SinkhornResult, _round_to_marginals, exact_ot
 
 from conftest import random_coupling, random_network
 
@@ -224,8 +224,7 @@ def test_bruteforce_sandwiched_by_bounds(rng):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
 def test_bruteforce_closes_sandwich_on_skewed_pair(p):
-    # rtlb_max / 2 is d_N here, and the oracle's upper bound must reach it
-    # although both measures are off the 1/8 grid of its tables
+    # rtlb_max / 2 is d_N here, and the exact oracle must reach it
     X = new_network([[1000.0, 0.0], [1000.0, 0.0]], [0.2, 0.8])
     Y = new_network(
         [[1000.0, 0.0, 0.0], [0.0, 0.0, -1000.0], [1000.0, 0.0, 0.0]], [0.2, 0.5, 0.3]
@@ -263,6 +262,23 @@ def test_bruteforce_exact_on_two_by_two(rng, p):
         assert value == pytest.approx(0.5 * best ** (1.0 / p), rel=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)])
+def test_bruteforce_not_above_any_coupling(shape):
+    # independent of the face enumeration: no vertex (an exact_ot optimum
+    # of a random cost) and no random interior plan may beat the oracle
+    rng = np.random.default_rng(17)
+    m, n = shape
+    for _ in range(4):
+        X, Y = random_network(rng, m), random_network(rng, n)
+        mu, nu = X.measure, Y.measure
+        plans = [exact_ot(rng.normal(size=(m, n)), mu, nu)[0] for _ in range(100)]
+        plans += [random_coupling(rng, mu, nu) for _ in range(50)]
+        for p in (1.0, 2.0, 2.5, np.inf):
+            value = gw_bruteforce(X, Y, p).value
+            lowest = min(distortion(X, Y, c, p) for c in plans)
+            assert value <= 0.5 * lowest * (1.0 + 1e-12)
+
+
 def test_bruteforce_not_above_entropic(rng):
     for _ in range(3):
         X = random_network(rng, 3)
@@ -289,10 +305,15 @@ def test_bruteforce_size_limit(rng):
         gw_bruteforce(X, Y, 2.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_bruteforce_argument_checks(rng):
     X = random_network(rng, 2)
     with pytest.raises(DomainError):
         gw_bruteforce(X, X, 0.5)
+    # the squared weight gaps overflow
+    X = new_network([[0.0, 1e200], [1e200, 0.0]], [0.5, 0.5])
+    with pytest.raises(DomainError):
+        gw_bruteforce(X, X, 2.0)
 
 
 # ---------------------------------------------------------------------------

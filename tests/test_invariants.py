@@ -390,6 +390,7 @@ def test_size_curve_validation():
         SizeCurve(grid=[0.0, 1.0, 2.0], values=[0.0, 1.0], p=1.0, kind="sublevel")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_size_curve_rejects_non_finite_grid(fig2_triple, bad):
     with pytest.raises(DomainError):
@@ -398,6 +399,14 @@ def test_size_curve_rejects_non_finite_grid(fig2_triple, bad):
         )
     with pytest.raises(DomainError):
         size_curve(fig2_triple[0], 1.0, grid=[0.0, bad, 2.5])
+    with pytest.raises(DomainError):
+        SizeCurve(
+            grid=[0.0, 1.0, 2.0], values=[0.0, 1.0, bad], p=1.0, kind="sublevel"
+        )
+    # the squared weights overflow, so the last sampled size is inf
+    huge = new_network([[0.0, 1e200], [1e200, 0.0]], [0.5, 0.5])
+    with pytest.raises(DomainError):
+        size_curve(huge, 2.0, samples=8)
 
 
 def test_sphere_subsize_curve_circle():

@@ -56,4 +56,9 @@ def test_oracle_values_has_no_sandwich_violation(scripts_path, capsys):
     # main returns 1 when a lower bound exceeds twice the brute-force value
     oracle = importlib.import_module("oracle_values")
     assert oracle.main([]) == 0
-    assert json.loads(capsys.readouterr().out)["sandwich_violations"] == []
+    fresh = json.loads(capsys.readouterr().out)
+    assert fresh["sandwich_violations"] == []
+    # and no oracle value may rise against the committed run
+    committed = json.loads((SCRIPTS.parent / "BENCH_oracle.json").read_text())["after"]
+    for summary in oracle.compare(committed, fresh["values"]).values():
+        assert summary["largest_rise"] <= oracle.RISE_BOUND

@@ -10,8 +10,11 @@ sweep in a ``NetworkSummary`` and builds its invariants once:
 
 The references are the public bound functions called on bare networks,
 one pair at a time, which rebuild every invariant per pair.  Both
-sweeps run serially and at 2 workers; the script exits 1 if any matrix
-entry differs from its reference in any bit.  It then times
+sweeps run serially and at 2 workers; the script exits 1 if any rtlb_max
+entry differs from its reference in any bit, or any rflb entry by more
+than 1e-12 relative: the rflb sweep is one stacked kernel call per
+direction, whose merged grid is finer than a pair's, so its sums round
+differently.  It then times
 ``netgw compare --method rflb`` on the 150 networks at ``--workers 1``
 and ``--workers 2``, alternating, and records every run.  The timings
 go to the JSON file; they do not decide the exit code.
@@ -46,12 +49,12 @@ from netgw.generators import sample_collection  # noqa: E402
 
 P = 2.0
 CASES = {
-    "rflb": (30, lambda X, Y: max(rflb(X, Y, P, "out"), rflb(X, Y, P, "in"))),
-    "rtlb_max": (4, lambda X, Y: rtlb_max(X, Y, P).rtlb_max),
+    "rflb": (30, lambda X, Y: max(rflb(X, Y, P, "out"), rflb(X, Y, P, "in")), 1e-12),
+    "rtlb_max": (4, lambda X, Y: rtlb_max(X, Y, P).rtlb_max, 0.0),
 }
 
 
-def check(method, per_class, reference):
+def check(method, per_class, reference, rel_tol):
     nets, _classes, labels = sample_collection("table1", per_class, 1)
     k = len(nets)
     t0 = time.perf_counter()
@@ -65,11 +68,14 @@ def check(method, per_class, reference):
         t0 = time.perf_counter()
         matrix, failures = dissimilarity_matrix(nets, method, P, labels, workers=workers)
         row[f"sweep_workers_{workers}_s"] = time.perf_counter() - t0
-        differing = int(np.count_nonzero(matrix.D.view(np.int64) != want.view(np.int64)))
+        if rel_tol == 0.0:
+            differing = int(np.count_nonzero(matrix.D.view(np.int64) != want.view(np.int64)))
+        else:
+            differing = int(np.count_nonzero(np.abs(matrix.D - want) > rel_tol * np.abs(want)))
         row[f"workers_{workers}_failures"] = len(failures)
         row[f"workers_{workers}_differing_entries"] = differing
         wrong += len(failures) + differing
-    row["identical"] = wrong == 0
+    row["matches"] = wrong == 0
     return row
 
 
@@ -105,9 +111,9 @@ def main(argv=None):
     rows = {method: check(method, *case) for method, case in CASES.items()}
     runs = time_compare(args.repeats)
     medians = {w: statistics.median(runs[w]) for w in runs}
-    identical = all(row["identical"] for row in rows.values())
+    matches = all(row["matches"] for row in rows.values())
     report = {
-        "all_identical": identical,
+        "all_match": matches,
         "sweeps": rows,
         "compare_rflb_150": {
             "workers_1_s": runs[1],
@@ -126,9 +132,9 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    print(json.dumps({"all_identical": identical, **{f"median_workers_{w}_s": m
+    print(json.dumps({"all_match": matches, **{f"median_workers_{w}_s": m
                                                      for w, m in medians.items()}}))
-    return 0 if identical else 1
+    return 0 if matches else 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,17 @@
 
 dis_pow and dis_sup sum or maximize over the quadruples (i, j, k, l)
 of two weight matrices under a plan and itself.  Every 1D transport
-cost is integrated here only, on merged_grid by quantile_pow: tlb_pow
-(rtlb) calls it for p != 2 and for its p = 2 resum, ot.wasserstein_1d
-(rflb, rslb) is its one-row call.
+cost is integrated here only, on merged breakpoint grids tiled by one
+block rule (_by_blocks): quantile_pow sums |Fi^-1 - Gj^-1|^p directly,
+tlb_pow expands the square at p = 2.  Their callers:
+
+- bounds.tlb_cost and bounds.rtlb call tlb_pow on two networks' local
+  quantiles;
+- bounds.rflb_matrix, the rflb of a sweep over more than two networks,
+  calls quantile_pow once per direction on every network's stacked
+  eccentricity pushforward;
+- ot.wasserstein_1d, the rflb and rslb of one pair, is quantile_pow's
+  one-row call.
 """
 
 import numpy as np
@@ -45,8 +53,15 @@ def dis_sup(wx, wy, plan):
 
 
 def _quantiles(q, c, g):
-    # each row's quantile function at the breakpoints g
-    return np.array([q[i, np.searchsorted(c[i], g, side="left")] for i in range(q.shape[0])])
+    # each row's quantile function at the breakpoints g: atom k of row i
+    # holds for the g in (c[i, k-1], c[i, k]].  Exact either way it is
+    # found: a binary search of g in each row while g is no longer than
+    # a row, else each atom repeated over its run of g
+    rows, width = c.shape
+    if g.size <= width:
+        return np.array([q[i, np.searchsorted(c[i], g, side="left")] for i in range(rows)])
+    runs = np.diff(np.searchsorted(g, c, side="right"), axis=1, prepend=0)
+    return np.repeat(q.ravel(), runs.ravel()).reshape(rows, g.size)
 
 
 def _quantile_blocks(qx, cx, qy, cy, grid, seg):
@@ -64,8 +79,55 @@ def merged_grid(cx, cy):
     return points[keep], seg[keep]
 
 
-def quantile_pow(qx, cx, qy, cy, grid, seg, p):
-    """sum over segments of |Fi^-1 - Gj^-1|^p * seg, summed directly, a row at a time."""
+# the block rule of _by_blocks
+ONE_BLOCK_RATIO = 16
+BLOCK_ROWS = 8
+
+
+def _by_blocks(kernel, qx, cx, qy, cy, *args):
+    """kernel(qx, cx, qy, cy, grid, seg, *args) over row blocks of X x Y.
+
+    Each block of X rows x Y rows is integrated on its own merged_grid.
+    A kernel costs about rows_x * rows_y * G for G breakpoints, so the
+    rule looks at the global grid: while G is at most ONE_BLOCK_RATIO
+    times the two row widths (breakpoints per row, width_x + width_y),
+    the whole matrix is one block on that grid; beyond, blocks of
+    BLOCK_ROWS rows each merge only their own rows' breakpoints, about
+    BLOCK_ROWS * (width_x + width_y) of them.  Ratios G / (width_x +
+    width_y) measured on the local quantiles ('out') or pushforwards:
+
+    - table1 pairs, and the stacked eccentricity pushforwards of a
+      table1 sweep: at most 1;
+    - the 400x406 sphere pair: 6.4; the 1000x990 sphere pair: 7.1;
+    - the stacked pushforwards of 150 random non-uniform networks of 10
+      to 40 nodes: 45;
+    - random non-uniform pairs, 200x193, 400x393 and 1000x993: 195, 395
+      (G = 313,321) and 995.
+
+    Times for one direction on a 2-core machine (scripts/bench_tlb.py,
+    BENCH_tlb.json): the random 400x393 pair took 3.6-4.0 s at p = 2 and
+    37 s at p = 1 on its global grid, and takes 0.9-1.0 s and 1.4-1.7 s
+    in blocks of 8 rows (0.6 s and 1.8 s in blocks of 16, 0.5 s and 3.2 s
+    in blocks of 32); the 150 stacked pushforwards take 0.06 s on one
+    grid and 0.03 s in blocks.  The 400x406 sphere pair takes 0.09 s at
+    p = 2 on its global grid and 0.39 s in blocks of 8, which is why
+    grids that stay near the row widths keep one block.
+    """
+    grid, seg = merged_grid(cx, cy)
+    if grid.size <= ONE_BLOCK_RATIO * (cx.shape[1] + cy.shape[1]):
+        return kernel(qx, cx, qy, cy, grid, seg, *args)
+    out = np.empty((qx.shape[0], qy.shape[0]))
+    for a in range(0, qx.shape[0], BLOCK_ROWS):
+        x = slice(a, a + BLOCK_ROWS)
+        for b in range(0, qy.shape[0], BLOCK_ROWS):
+            y = slice(b, b + BLOCK_ROWS)
+            block_grid, block_seg = merged_grid(cx[x], cy[y])
+            out[x, y] = kernel(qx[x], cx[x], qy[y], cy[y], block_grid, block_seg, *args)
+    return out
+
+
+def _direct(qx, cx, qy, cy, grid, seg, p):
+    # sum over segments of |Fi^-1 - Gj^-1|^p * seg, a row at a time
     out = np.zeros((qx.shape[0], qy.shape[0]))
     for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg):
         for i in range(quant_x.shape[0]):
@@ -73,18 +135,8 @@ def quantile_pow(qx, cx, qy, cy, grid, seg, p):
     return out
 
 
-def tlb_pow(qx, cx, qy, cy, p):
-    """Matrix of p-th power 1D transport costs between all row pairs.
-
-    qx[i] holds the i-th local distribution's atoms sorted ascending and
-    cx[i] the matching cumulative masses (last entry exactly 1).  Entry
-    (i, j) of the result is the integral over t in (0, 1] of
-    |Fi^-1(t) - Gj^-1(t)|^p on the merged breakpoint grid: quantile_pow
-    for p != 2, the expansion of the square for p = 2.
-    """
-    grid, seg = merged_grid(cx, cy)
-    if p != 2.0:
-        return quantile_pow(qx, cx, qy, cy, grid, seg, p)
+def _expanded(qx, cx, qy, cy, grid, seg):
+    # the square as sq_x + sq_y - 2 * cross, summed over segments
     m, n = qx.shape[0], qy.shape[0]
     out = np.zeros((m, n))
     scale = np.zeros((m, n))
@@ -102,6 +154,31 @@ def tlb_pow(qx, cx, qy, cy, p):
     flagged = out <= 64.0 * np.finfo(np.float64).eps * scale
     rows = np.flatnonzero(flagged.any(axis=1))
     if rows.size:
-        exact = quantile_pow(qx[rows], cx[rows], qy, cy, grid, seg, 2.0)
+        exact = _direct(qx[rows], cx[rows], qy, cy, grid, seg, 2.0)
         out[rows] = np.where(flagged[rows], exact, out[rows])
     return out
+
+
+def quantile_pow(qx, cx, qy, cy, p):
+    """Matrix of p-th power 1D transport costs between all row pairs.
+
+    qx[i] holds the i-th distribution's atoms sorted ascending and cx[i]
+    the matching cumulative masses (last entry exactly 1); a row may be
+    padded by repeating its last atom at cumulative 1.  Entry (i, j) is
+    the integral over t in (0, 1] of |Fi^-1(t) - Gj^-1(t)|^p, summed
+    directly over the segments of the merged breakpoint grid, in blocks
+    of rows chosen by _by_blocks.
+    """
+    return _by_blocks(_direct, qx, cx, qy, cy, p)
+
+
+def tlb_pow(qx, cx, qy, cy, p):
+    """quantile_pow, but at p = 2 by the expansion of the square.
+
+    The expansion is a matrix product per block; entries within its
+    rounding noise of zero are resummed directly, so identical rows give
+    exactly 0.
+    """
+    if p != 2.0:
+        return quantile_pow(qx, cx, qy, cy, p)
+    return _by_blocks(_expanded, qx, cx, qy, cy)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import NetworkSummary, rflb, rslb, rtlb_max, szlb
+from .bounds import NetworkSummary, rflb, rflb_matrix, rslb, rtlb_max, szlb
 from .core import MeasureNetwork, _check_order, _freeze, new_network, read_text
 from .errors import (
     DomainError,
@@ -98,9 +98,12 @@ def _pair_value(xi, xj, method, p, config):
 _worker_sweep = None
 
 
-def _start_worker(sweep):
+def _start_worker(sweep, float_errors):
+    # float_errors: the caller's np.geterr(), which a spawned worker
+    # would not inherit
     global _worker_sweep
     _worker_sweep = sweep
+    np.seterr(**float_errors)
 
 
 def _pair_job(job, sweep=None):
@@ -136,10 +139,14 @@ def dissimilarity_matrix(
     NaN entry plus a PairFailure record; the other pairs still complete.
     For the bounds, each network of a sweep over more than two networks
     is wrapped once in a NetworkSummary, so its invariants are built
-    once, not once per pair.  workers > 1 sends the networks (or their
-    summaries) to each worker of a process pool once, when the worker
-    starts, and then the pairs as (i, j) index chunks, a few per worker;
-    each worker builds the invariants it needs on first use.
+    once, not once per pair.  An rflb sweep over more than two networks
+    is one stacked kernel call per direction (bounds.rflb_matrix), in
+    this process; only a pair it gives no finite value runs on its own,
+    so its failure record is the one rflb itself gives.  workers > 1
+    sends the networks (or their summaries) to each worker of a process
+    pool once, when the worker starts, and then the pairs as (i, j)
+    index chunks, a few per worker; each worker builds the invariants it
+    needs on first use.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; available: {METHODS}")
@@ -171,23 +178,31 @@ def dissimilarity_matrix(
         items = [NetworkSummary(net) for net in networks]
     sweep = (items, method, p, config)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    upper = np.triu_indices(k, 1)
+    D = np.zeros((k, k))
+    if method == "rflb" and k > 2:
+        # one stacked kernel call per direction; a pair it gives no finite
+        # value goes through _pair_job, which records why
+        D[upper] = rflb_matrix(items, p)[upper]
+        missing = ~np.isfinite(D)
+        pairs = [(i, j) for i, j in pairs if missing[i, j]]
     if workers > 1 and len(pairs) > 1:
         # the sweep reaches each worker once; the pairs go in a few chunks
         # per worker, and each worker builds the summaries it reads
         chunksize = -(-len(pairs) // (4 * workers))
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(sweep,)
+            max_workers=workers, initializer=_start_worker, initargs=(sweep, np.geterr())
         ) as pool:
             results = list(pool.map(_pair_job, pairs, chunksize=chunksize))
     else:
         results = [_pair_job(pair, sweep) for pair in pairs]
 
-    D = np.zeros((k, k))
     failures = []
     for i, j, value, error in results:
-        D[i, j] = D[j, i] = value
+        D[i, j] = value
         if error is not None:
             failures.append(PairFailure(i, j, labels[i], labels[j], error))
+    D[upper[::-1]] = D[upper]
     matrix = DissimilarityMatrix(labels=tuple(labels), D=D)
     return matrix, tuple(failures)
 

@@ -149,6 +149,53 @@ def rflb(X: NetworkLike, Y: NetworkLike, p, direction="out") -> float:
     return wasserstein_1d(X.ecc(p, direction), Y.ecc(p, direction), p)
 
 
+def _stacked_ecc(summaries, p, direction):
+    # each pushforward as one (atoms, cumulative) row, padded to the
+    # widest by repeating its last atom at cumulative 1; a network whose
+    # pushforward raises gets no row
+    dists = {}
+    for k, summary in enumerate(summaries):
+        try:
+            dists[k] = summary.ecc(p, direction)
+        except Exception:  # the pair route reports it, pair by pair
+            continue
+    width = max((d.atoms.size for d in dists.values()), default=1)
+    atoms = np.zeros((len(dists), width))
+    cumulative = np.ones((len(dists), width))
+    for row, d in enumerate(dists.values()):
+        atoms[row, : d.atoms.size] = d.atoms
+        atoms[row, d.atoms.size :] = d.atoms[-1]
+        cumulative[row, : d.atoms.size] = d.cumulative
+    return list(dists), atoms, cumulative
+
+
+def rflb_matrix(networks, p) -> np.ndarray:
+    """max(rflb out, rflb in) between every pair of networks, as a matrix.
+
+    One quantile_pow call per direction integrates all pairs at once,
+    over every network's eccentricity pushforward, stacked; the kernel's
+    block rule tiles the merged grid.  Each entry is the direct sum of
+    nonnegative terms on a finer grid than rflb's, so it agrees with
+    max(rflb(X, Y, p, 'out'), rflb(X, Y, p, 'in')) to rounding (at most
+    7.5e-16 relative on 150 table1 networks at p = 1, 2 and 3).  Rows and
+    columns of a network whose pushforward raises are NaN, and an entry
+    whose sum overflows is inf; dissimilarity_matrix takes those pairs
+    from rflb itself, with its error.
+    """
+    p = _check_order(p, finite=True)
+    summaries = [_summary(X) for X in networks]
+    k = len(summaries)
+    value = np.zeros((k, k))
+    for direction in ("out", "in"):
+        rows, atoms, cumulative = _stacked_ecc(summaries, p, direction)
+        part = np.full((k, k), np.nan)
+        if rows:
+            cost = _kernels.quantile_pow(atoms, cumulative, atoms, cumulative, p)
+            part[np.ix_(rows, rows)] = cost ** (1.0 / p)
+        value = np.maximum(value, part)
+    return value
+
+
 def rslb(X: NetworkLike, Y: NetworkLike, p) -> float:
     """W_p between the two weight pushforwards.
 
@@ -181,11 +228,16 @@ def _tlb_pow_matrix(X, Y, p, direction):
 def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatrix:
     """Entry (i, j) is W_p(local distribution of i, local distribution of j).
 
-    All m*n entries come from one merged-quantile sweep over the grid of
-    all rows' cumulative masses: about m*n*G work for G breakpoints.  G
-    stays near the node counts on uniform measures but reaches m^2 + n^2
-    on generic non-uniform ones (76,679 on a random 200x193 pair), and
-    then the sweep, not rtlb's exact_ot, bounds the time.
+    All m*n entries come from _kernels.tlb_pow, a merged-quantile sweep
+    of about rows_x * rows_y * G work for G breakpoints.  G stays near
+    the node counts on uniform measures and on the sphere grids, and the
+    matrix is one block on the global grid.  On generic non-uniform
+    measures G reaches m^2 + n^2 (313,321 on a random 400x393 pair), and
+    the block rule tiles the matrix into blocks of 8 rows, each on its
+    own grid of about 8 * (m + n) breakpoints.  One direction of that
+    400x393 pair takes 0.9-1.0 s at p = 2 and 1.4-1.7 s at p = 1 (3.6-5.7
+    s and 37-43 s on one grid), and of a random 1000x993 pair 14-16 s and
+    23-24 s (2-core machine; scripts/bench_tlb.py).
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)

@@ -9,6 +9,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     METHODS,
     _fmt,
@@ -272,11 +274,15 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except NetgwError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    # a non-finite result already ends as an error line or a failure
+    # record; numpy's floating-point warnings on the way would only come
+    # first on stderr
+    with np.errstate(all="ignore"):
+        try:
+            return args.func(args)
+        except NetgwError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -207,8 +207,7 @@ def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution, p):
     p = _check_order(p, finite=True)
     qa, ca = a.atoms[None, :], a.cumulative[None, :]
     qb, cb = b.atoms[None, :], b.cumulative[None, :]
-    grid, seg = _kernels.merged_grid(ca, cb)
-    return float(_kernels.quantile_pow(qa, ca, qb, cb, grid, seg, p)[0, 0]) ** (1.0 / p)
+    return float(_kernels.quantile_pow(qa, ca, qb, cb, p)[0, 0]) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

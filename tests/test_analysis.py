@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgw import analysis
+from netgw import _kernels, analysis
 from netgw.analysis import (
     Dendrogram,
     DissimilarityMatrix,
@@ -19,6 +19,7 @@ from netgw.analysis import (
     single_linkage,
     to_newick,
 )
+from netgw.bounds import NetworkSummary, _stacked_ecc, rflb
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
     DomainError,
@@ -29,7 +30,7 @@ from netgw.errors import (
 )
 from netgw.invariants import size_curve
 
-from conftest import random_network
+from conftest import random_network, scaled_network
 
 POINTS = [one_point_network(a) for a in (0.0, 1.0, 3.0)]
 POINT_GAPS = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
@@ -236,6 +237,92 @@ def test_pool_matches_serial_bit_for_bit(method, k):
     assert serial_failures == pooled_failures
     if k >= 3:
         assert {(0, 1), (1, 2)} <= {(f.i, f.j) for f in serial_failures}
+
+
+def _per_pair_rflb(nets, p):
+    return {
+        (i, j): max(rflb(nets[i], nets[j], p, "out"), rflb(nets[i], nets[j], p, "in"))
+        for i in range(len(nets))
+        for j in range(i + 1, len(nets))
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.lists(scaled_network(exponents=st.integers(-6, 12)), min_size=3, max_size=6),
+    st.sampled_from([1.0, 2.0, 2.5]),
+)
+def test_rflb_sweep_matches_per_pair(nets, p):
+    # the stacked sweep integrates on the grid of every network's
+    # breakpoints; its terms are nonnegative, so a finer grid moves each
+    # value by rounding only
+    matrix, failures = dissimilarity_matrix(nets, "rflb", p)
+    assert not failures
+    for (i, j), want in _per_pair_rflb(nets, p).items():
+        assert matrix.D[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_rflb_sweep_in_blocks_matches_per_pair():
+    # 60 non-uniform networks merge about 45 times the breakpoints of the
+    # widest pushforward, so the stacked call is tiled; three are
+    # node-permuted copies of others, whose rflb is exactly 0
+    rng = np.random.default_rng(8)
+    nets = [random_network(rng, 4 + s % 5) for s in range(60)]
+    for copy, source in ((5, 30), (17, 2), (39, 38)):
+        perm = rng.permutation(nets[source].n)
+        W = nets[source].weights[np.ix_(perm, perm)]
+        nets[copy] = new_network(W, nets[source].measure[perm])
+    _rows, _atoms, cumulative = _stacked_ecc([NetworkSummary(X) for X in nets], 2.0, "out")
+    grid, _seg = _kernels.merged_grid(cumulative, cumulative)
+    assert grid.size > _kernels.ONE_BLOCK_RATIO * 2 * cumulative.shape[1]
+    for p in (1.0, 2.0):
+        matrix, failures = dissimilarity_matrix(nets, "rflb", p)
+        assert not failures
+        for (i, j), want in _per_pair_rflb(nets, p).items():
+            assert matrix.D[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert matrix.D[5, 30] == matrix.D[2, 17] == matrix.D[38, 39] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rflb_sweep_manifest_matches_pair_route():
+    # the overflowing network's pairs go to _pair_job, with rflb's errors
+    nets = _sweep_inputs(7)
+    matrix, failures = dissimilarity_matrix(nets, "rflb", 2.0, labels=list("abcdefg"))
+    sweep = (nets, "rflb", 2.0, None)
+    results = [analysis._pair_job((i, j), sweep) for i in range(7) for j in range(i + 1, 7)]
+    want = tuple(
+        analysis.PairFailure(i, j, "abcdefg"[i], "abcdefg"[j], error)
+        for i, j, _value, error in results
+        if error is not None
+    )
+    assert failures == want and len(failures) == 6
+    for i, j, value, _error in results:
+        assert matrix.D[i, j] == pytest.approx(value, rel=1e-12, nan_ok=True)
+
+
+def test_rflb_sweep_sends_non_finite_entries_to_the_pair_route(monkeypatch):
+    # an entry the stacked call cannot give is computed by rflb itself
+    nets = _sweep_inputs(4)[2:] + POINTS
+    stacked = analysis.rflb_matrix
+
+    def spoiled(items, p):
+        out = stacked(items, p)
+        out[0, 2] = math.inf
+        return out
+
+    monkeypatch.setattr(analysis, "rflb_matrix", spoiled)
+    matrix, failures = dissimilarity_matrix(nets, "rflb", 2.0)
+    assert not failures
+    assert matrix.D[0, 2] == matrix.D[2, 0] == _per_pair_rflb(nets, 2.0)[0, 2]
+
+
+def test_pool_worker_takes_the_callers_float_errors():
+    # a spawned worker starts from numpy's defaults, not the caller's
+    with np.errstate():
+        analysis._start_worker(None, {"over": "ignore", "divide": "raise",
+                                      "under": "ignore", "invalid": "warn"})
+        assert np.geterr() == {"over": "ignore", "divide": "raise",
+                               "under": "ignore", "invalid": "warn"}
 
 
 @pytest.mark.parametrize(

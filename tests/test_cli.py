@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -169,7 +173,6 @@ def test_compare_entropic_range_failure_exits_one(tmp_path, capsys):
     assert not load_dissimilarity_csv(out / "dissimilarity.csv").complete
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_compare_nonfinite_pairs_exit_one(tmp_path, capsys):
     # size_2 and the eccentricities of "big" overflow to inf: its two
     # pairs fail, the third stays
@@ -187,6 +190,40 @@ def test_compare_nonfinite_pairs_exit_one(tmp_path, capsys):
         assert [f["pair"] for f in report["failures"]] == [["a", "big"], ["b", "big"]]
         D = load_dissimilarity_csv(out / "dissimilarity.csv").D
         assert np.isfinite(D[0, 1]) and np.isnan(D[0, 2]) and np.isnan(D[1, 2])
+
+
+def _netgw(cwd, *argv):
+    # a separate interpreter, so its stderr is what a shell shows: inside
+    # pytest, warnings would be caught before they reach stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "netgw.cli", *argv], cwd=cwd, env=env).returncode
+
+
+def _overflowing_inputs(tmp_path):
+    # |w|^2 of "huge" overflows: in its sizes, eccentricities and curves
+    (tmp_path / "huge.json").write_text('{"weights": [[0, 1e200], [1e200, 0]]}')
+    (tmp_path / "a.json").write_text('{"weights": [[0, 1], [2, 0]]}')
+    (tmp_path / "b.json").write_text('{"weights": [[0, 3], [1, 1]], "measure": [0.3, 0.7]}')
+
+
+def test_invariant_overflow_prints_one_error_line(tmp_path, capfd):
+    _overflowing_inputs(tmp_path)
+    assert _netgw(tmp_path, "invariant", "huge.json", "--kind", "subsize", "--p", "2") == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_compare_overflow_prints_no_warning(tmp_path, capfd, workers):
+    # rflb computes the pushforwards in this process; szlb's pairs run in
+    # the workers at --workers 2
+    _overflowing_inputs(tmp_path)
+    for method in ("rflb", "szlb"):
+        argv = ["compare", "a.json", "b.json", "huge.json", "--method", method, "--p", "2",
+                "--workers", workers, "--out", method]
+        assert _netgw(tmp_path, *argv) == 1
+        assert capfd.readouterr().err == "2 of 3 pairs failed; see report.json\n"
 
 
 def test_compare_rejects_oversized_network(tmp_path, capsys):
@@ -246,7 +283,6 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["invariant", "latin1.csv", "--kind", "size"],
         ["generate", "--spec", "latin1.json"],
         ["invariant", "huge.json", "--kind", "subsize", "--p", "2"],
-        ["sphere-bound", "--n1", "1", "--n2", "2", "--p", "1000"],
     ],
     ids=[
         "missing-file",
@@ -278,10 +314,8 @@ def test_compare_empty_directory(tmp_path, capsys):
         "non-utf8-matrix",
         "non-utf8-spec",
         "non-finite-size-curve",
-        "sphere-size-overflow",
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_bad_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "bad.json").write_text('{"weights": [[0, "x"], [1, 0]]}')
     (tmp_path / "ok.json").write_text('{"weights": [[0, 1], [1, 0]]}')
@@ -445,3 +479,12 @@ def test_sphere_bound_circle_vs_sphere(tmp_path, capsys):
     assert 0.1 < value < 0.3
     assert (out / "curve_sphere1_p1.csv").exists()
     assert (out / "curve_sphere2_p1.csv").exists()
+
+
+def test_sphere_bound_at_large_order(capsys):
+    # t^(p+1) overflows from p of about 620; the sizes, near t, do not
+    values = []
+    for p in ("600", "1000"):
+        assert main(["sphere-bound", "--n1", "1", "--n2", "2", "--p", p, "--grid", "64"]) == 0
+        values.append(float(capsys.readouterr().out.strip()))
+    assert 0.0 < values[1] < values[0] < 0.03

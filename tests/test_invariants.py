@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
@@ -306,6 +307,47 @@ def test_sphere_subsize_two_sphere_half_threshold():
     # (1/2) * integral_0^(pi/2) phi sin phi dphi = (1/2)(sin - phi cos)| = 1/2
     got = sphere_subsize_closed_form(2, 1.0, math.pi / 2.0)
     assert got == pytest.approx(0.5, abs=1e-10)
+
+
+def _direct_sphere_subsize(n, p, t):
+    # the defining form, (S_{n-1}/S_n * integral_0^t phi^p sin^{n-1} phi)^(1/p),
+    # with the integral too; None where it leaves the normal range
+    if n == 1:
+        power = t ** (p + 1.0) / ((p + 1.0) * math.pi)
+        integral = t ** (p + 1.0)
+    else:
+        integral, _ = quad(
+            lambda phi: phi**p * math.sin(phi) ** (n - 1), 0.0, t,
+            epsabs=0.0, epsrel=2e-14, limit=200,
+        )
+        power = sphere_surface_area(n - 1) / sphere_surface_area(n) * integral
+    return power ** (1.0 / p) if 1e-290 < integral < 1e290 else None
+
+
+def test_sphere_subsize_matches_direct_form():
+    checked = 0
+    for n in (1, 2, 3, 5):
+        for p in (1.0, 1.5, 2.0, 2.5, 10.0, 100.0, 300.0, 600.0):
+            for t in (1e-6, 1e-3, 0.3, 1.0, 2.0, 3.0, math.pi):
+                try:
+                    want = _direct_sphere_subsize(n, p, t)
+                except OverflowError:
+                    continue
+                if want is None:
+                    continue
+                checked += 1
+                assert sphere_subsize_closed_form(n, p, t) == pytest.approx(want, rel=1e-12)
+    assert checked > 150
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_subsize_finite_at_large_order(n):
+    # the direct form overflows from p of about 620; the size tends to t
+    for p in (700.0, 1e3, 1e4):
+        for t in (0.01, 1.0, math.pi):
+            value = sphere_subsize_closed_form(n, p, t)
+            assert math.isfinite(value)
+            assert 0.95 * t < value < t ** (1.0 + 1.0 / p)
 
 
 def test_sphere_subsize_domain_checks():

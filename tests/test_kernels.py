@@ -87,3 +87,62 @@ def test_tlb_pow_numpy_identical_rows_exact_zero(rng):
         out = _kernels.tlb_pow(qx, cx, qy, cy, p)
         assert np.all(out >= 0.0)
         npt.assert_array_equal(out[perm, np.arange(6)], np.zeros(6))
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_tlb_pow_blocks_match_one_block(rng, monkeypatch, uniform):
+    # blocks of 3 rows (ragged at 17 and 13), each block pair on its own
+    # merged grid, against one block on the global grid
+    X = random_network(rng, 17, uniform_measure=uniform)
+    Y = random_network(rng, 13, uniform_measure=uniform)
+    qx, cx = _local_quantiles(X, "out")
+    qy, cy = _local_quantiles(Y, "out")
+    grid, seg = _kernels.merged_grid(cx, cy)
+    monkeypatch.setattr(_kernels, "ONE_BLOCK_RATIO", 0)
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", 3)
+    for p in (1.0, 2.0, 2.5):
+        one = (
+            _kernels._expanded(qx, cx, qy, cy, grid, seg)
+            if p == 2.0
+            else _kernels._direct(qx, cx, qy, cy, grid, seg, p)
+        )
+        npt.assert_allclose(_kernels.tlb_pow(qx, cx, qy, cy, p), one, rtol=1e-11, atol=0)
+        npt.assert_allclose(
+            _kernels.quantile_pow(qx, cx, qy, cy, p),
+            _kernels._direct(qx, cx, qy, cy, grid, seg, p),
+            rtol=1e-11,
+            atol=0,
+        )
+
+
+def test_tlb_pow_blocks_keep_exact_zeros(rng, monkeypatch):
+    X = random_network(rng, 11)
+    perm = rng.permutation(11)
+    Y = new_network(X.weights[np.ix_(perm, perm)], X.measure[perm])
+    qx, cx = _local_quantiles(X, "out")
+    qy, cy = _local_quantiles(Y, "out")
+    monkeypatch.setattr(_kernels, "ONE_BLOCK_RATIO", 0)
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4)
+    for p in (1.0, 2.0):
+        out = _kernels.tlb_pow(qx, cx, qy, cy, p)
+        assert np.all(out >= 0.0)
+        npt.assert_array_equal(out[perm, np.arange(11)], np.zeros(11))
+
+
+def test_block_rule_follows_the_grid(rng, monkeypatch):
+    # a generic non-uniform pair merges about m^2 + n^2 breakpoints and is
+    # tiled; a uniform one merges about m + n and stays one block
+    grids = []
+    merged_grid = _kernels.merged_grid
+
+    def counted(cx, cy):
+        grids.append(cx.shape[0])
+        return merged_grid(cx, cy)
+
+    monkeypatch.setattr(_kernels, "merged_grid", counted)
+    for uniform, calls in ((True, 1), (False, 1 + 5 * 5)):
+        X = random_network(rng, 40, uniform_measure=uniform)
+        qx, cx = _local_quantiles(X, "out")
+        grids.clear()
+        _kernels.tlb_pow(qx, cx, qx, cx, 2.0)
+        assert len(grids) == calls

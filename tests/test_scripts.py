@@ -1,5 +1,5 @@
-"""The scripts under scripts/ import, bench_exact_ot's gate holds on tiny
-inputs, and the two result gates run end to end."""
+"""The scripts under scripts/ import, the gates of bench_exact_ot and
+bench_tlb hold on tiny inputs, and the two result gates run end to end."""
 
 import importlib
 import json
@@ -9,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+from netgw.core import new_network
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -62,3 +64,27 @@ def test_oracle_values_has_no_sandwich_violation(scripts_path, capsys):
     committed = json.loads((SCRIPTS.parent / "BENCH_oracle.json").read_text())["after"]
     for summary in oracle.compare(committed, fresh["values"]).values():
         assert summary["largest_rise"] <= oracle.RISE_BOUND
+
+
+def test_bench_tlb_gate_on_small_inputs(scripts_path):
+    """The kernel check on a one-block and a tiled pair, the sweep check on
+    a few networks, and the gate catching a moved entry."""
+    bench = importlib.import_module("bench_tlb")
+    rng = np.random.default_rng(4)
+    uniform = [new_network(rng.random((n, n)), np.full(n, 1.0 / n)) for n in (6, 9)]
+    tiled = [bench.random_network(rng, n) for n in (40, 37)]
+    kernel = [
+        bench.kernel_summary("uniform", 2.0, [tuple(uniform)]),
+        bench.kernel_summary("tiled", 1.0, [tuple(tiled)], sample=range(0, 40, 7)),
+        bench.kernel_summary("tiled", 2.0, [tuple(tiled)]),
+    ]
+    assert [row["one_block_pairs"] for row in kernel] == [1, 0, 0]
+    sweep = [bench.sweep_row("random", [bench.random_network(rng, 5) for _ in range(6)], 2.5)]
+    report = {"kernel": kernel, "sweep": sweep}
+    assert bench.failing(report) == []
+    assert all(row["worst_rel_gap"] <= bench.KERNEL_TOL for row in kernel)
+    # the gate: a gap above tolerance, or an entry that should be exactly 0
+    assert bench.relative_gap([0.0, 1.0 + 1e-15], [0.0, 1.0]) < 1e-14
+    assert bench.relative_gap([1e-300], [0.0]) == np.inf
+    sweep[0]["worst_rel_gap"] = 2 * bench.SWEEP_TOL
+    assert bench.failing(report) == sweep

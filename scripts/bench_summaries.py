@@ -15,9 +15,11 @@ entry differs from its reference in any bit, or any rflb entry by more
 than 1e-12 relative: the rflb sweep is one stacked kernel call per
 direction, whose merged grid is finer than a pair's, so its sums round
 differently.  It then times
-``netgw compare --method rflb`` on the 150 networks at ``--workers 1``
-and ``--workers 2``, alternating, and records every run.  The timings
-go to the JSON file; they do not decide the exit code.
+``netgw compare --method rtlb_max`` on the 20 networks at ``--workers 1``
+and ``--workers 2``, alternating, and records every run: the rflb sweep
+is one stacked call in this process at any worker count, the rtlb_max
+sweep goes through the pool.  The timings go to the JSON file; they do
+not decide the exit code.
 
     PYTHONPATH=src python3 scripts/bench_summaries.py [--out BENCH_summaries.json] [--repeats 5]
 """
@@ -80,8 +82,8 @@ def check(method, per_class, reference, rel_tol):
 
 
 def time_compare(repeats):
-    """Seconds of `netgw compare --method rflb` on the 150 networks, per --workers."""
-    nets, _classes, labels = sample_collection("table1", CASES["rflb"][0], 1)
+    """Seconds of `netgw compare --method rtlb_max` on the 20 networks, per --workers."""
+    nets, _classes, labels = sample_collection("table1", CASES["rtlb_max"][0], 1)
     runs = {1: [], 2: []}
     with tempfile.TemporaryDirectory(prefix="bench-summaries-") as tmp:
         inp = Path(tmp) / "in"
@@ -91,7 +93,7 @@ def time_compare(repeats):
         for r in range(repeats):
             order = (1, 2) if r % 2 == 0 else (2, 1)
             for workers in order:
-                argv = ["compare", str(inp), "--method", "rflb", "--p", "2",
+                argv = ["compare", str(inp), "--method", "rtlb_max", "--p", "2",
                         "--workers", str(workers), "--out", str(Path(tmp) / "out")]
                 t0 = time.perf_counter()
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -115,7 +117,7 @@ def main(argv=None):
     report = {
         "all_match": matches,
         "sweeps": rows,
-        "compare_rflb_150": {
+        "compare_rtlb_max_20": {
             "workers_1_s": runs[1],
             "workers_2_s": runs[2],
             "median_workers_1_s": medians[1],

@@ -52,23 +52,23 @@ def dis_sup(wx, wy, plan):
     return best
 
 
-def _quantiles(q, c, g):
-    # each row's quantile function at the breakpoints g: atom k of row i
-    # holds for the g in (c[i, k-1], c[i, k]].  Exact either way it is
-    # found: a binary search of g in each row while g is no longer than
-    # a row, else each atom repeated over its run of g
-    rows, width = c.shape
-    if g.size <= width:
-        return np.array([q[i, np.searchsorted(c[i], g, side="left")] for i in range(rows)])
-    runs = np.diff(np.searchsorted(g, c, side="right"), axis=1, prepend=0)
-    return np.repeat(q.ravel(), runs.ravel()).reshape(rows, g.size)
+def _quantiles(q, ends, start, stop):
+    # each row's quantile function at grid points start..stop-1: atom k of
+    # row i holds at points ends[i, k-1] to ends[i, k] - 1, those in
+    # (c[i, k-1], c[i, k]], and is repeated over that run within the chunk
+    runs = np.diff(ends.clip(start, stop), axis=1, prepend=start)
+    return np.repeat(q.ravel(), runs.ravel()).reshape(q.shape[0], stop - start)
 
 
 def _quantile_blocks(qx, cx, qy, cy, grid, seg):
-    chunk = max(256, int(8e6 // max(1, qx.shape[0] * qy.shape[0])))
+    # one grid search per side, read in chunks of ~GRID_CHUNK_CELLS rows_x * rows_y * points
+    ends_x = np.searchsorted(grid, cx, side="right")
+    ends_y = np.searchsorted(grid, cy, side="right")
+    chunk = max(GRID_CHUNK_MIN, int(GRID_CHUNK_CELLS // max(1, qx.shape[0] * qy.shape[0])))
     for start in range(0, grid.size, chunk):
-        g = grid[start : start + chunk]
-        yield _quantiles(qx, cx, g), _quantiles(qy, cy, g), seg[start : start + chunk]
+        stop = min(start + chunk, grid.size)
+        x, y = _quantiles(qx, ends_x, start, stop), _quantiles(qy, ends_y, start, stop)
+        yield x, y, seg[start:stop]
 
 
 def merged_grid(cx, cy):
@@ -79,9 +79,11 @@ def merged_grid(cx, cy):
     return points[keep], seg[keep]
 
 
-# the block rule of _by_blocks
+# the block rule of _by_blocks, and the grid chunks of _quantile_blocks
 ONE_BLOCK_RATIO = 16
 BLOCK_ROWS = 8
+GRID_CHUNK_CELLS = 8e6
+GRID_CHUNK_MIN = 256
 
 
 def _by_blocks(kernel, qx, cx, qy, cy, *args):
@@ -106,12 +108,12 @@ def _by_blocks(kernel, qx, cx, qy, cy, *args):
 
     Times for one direction on a 2-core machine (scripts/bench_tlb.py,
     BENCH_tlb.json): the random 400x393 pair took 3.6-4.0 s at p = 2 and
-    37 s at p = 1 on its global grid, and takes 0.9-1.0 s and 1.4-1.7 s
-    in blocks of 8 rows (0.6 s and 1.8 s in blocks of 16, 0.5 s and 3.2 s
-    in blocks of 32); the 150 stacked pushforwards take 0.06 s on one
-    grid and 0.03 s in blocks.  The 400x406 sphere pair takes 0.09 s at
-    p = 2 on its global grid and 0.39 s in blocks of 8, which is why
-    grids that stay near the row widths keep one block.
+    37 s at p = 1 on its global grid, and 0.9-1.0 s and 1.4-1.7 s in
+    blocks of 8 rows (0.6 s and 1.8 s in blocks of 16, 0.5 s and 3.2 s in
+    blocks of 32); the 150 stacked pushforwards 0.06 s on one grid and
+    0.03 s in blocks.  In a run 3 times slower, the sphere pairs took
+    0.1 s and 1.2-1.5 s at p = 2 on their global grids, against 1.0 s and
+    14 s in blocks of 8, which is why grids near the row widths keep one block.
     """
     grid, seg = merged_grid(cx, cy)
     if grid.size <= ONE_BLOCK_RATIO * (cx.shape[1] + cy.shape[1]):
@@ -136,18 +138,16 @@ def _direct(qx, cx, qy, cy, grid, seg, p):
 
 
 def _expanded(qx, cx, qy, cy, grid, seg):
-    # the square as sq_x + sq_y - 2 * cross, summed over segments
-    m, n = qx.shape[0], qy.shape[0]
-    out = np.zeros((m, n))
-    scale = np.zeros((m, n))
+    # the square as sq_x + sq_y - 2 * cross, each term summed on its own; a
+    # grid split into chunks only reorders those sums, moving them by rounding
+    sq_x, sq_y = np.zeros(qx.shape[0]), np.zeros(qy.shape[0])
+    cross = np.zeros((qx.shape[0], qy.shape[0]))
     for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg):
-        sq_x = (quant_x * quant_x) @ d
-        sq_y = (quant_y * quant_y) @ d
-        out += sq_x[:, None]
-        out += sq_y[None, :]
-        out -= 2.0 * ((quant_x * d) @ quant_y.T)
-        scale += sq_x[:, None]
-        scale += sq_y[None, :]
+        sq_x += (quant_x * quant_x) @ d
+        sq_y += (quant_y * quant_y) @ d
+        cross += (quant_x * d) @ quant_y.T
+    scale = sq_x[:, None] + sq_y[None, :]
+    out = scale - 2.0 * cross
     # the expansion cancels catastrophically near zero; entries below its
     # noise floor are resummed as nonnegative terms (exact at 0), a whole
     # row at a time, since matching inputs flag most of the matrix

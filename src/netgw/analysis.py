@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,10 +144,11 @@ def dissimilarity_matrix(
     is one stacked kernel call per direction (bounds.rflb_matrix), in
     this process; only a pair it gives no finite value runs on its own,
     so its failure record is the one rflb itself gives.  workers > 1
-    sends the networks (or their summaries) to each worker of a process
-    pool once, when the worker starts, and then the pairs as (i, j)
-    index chunks, a few per worker; each worker builds the invariants it
-    needs on first use.
+    starts a process pool of min(workers, pairs, cpu count) processes,
+    and runs serially when that is 1; it sends the networks (or their
+    summaries) to each worker once, when the worker starts, and then the
+    pairs as (i, j) index chunks, a few per worker; each worker builds
+    the invariants it needs on first use.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; available: {METHODS}")
@@ -186,12 +188,14 @@ def dissimilarity_matrix(
         D[upper] = rflb_matrix(items, p)[upper]
         missing = ~np.isfinite(D)
         pairs = [(i, j) for i, j in pairs if missing[i, j]]
-    if workers > 1 and len(pairs) > 1:
+    # no more processes than pairs or cores: the pool starts all of them at once
+    procs = min(workers, len(pairs), os.cpu_count() or 1)
+    if procs > 1:
         # the sweep reaches each worker once; the pairs go in a few chunks
         # per worker, and each worker builds the summaries it reads
-        chunksize = -(-len(pairs) // (4 * workers))
+        chunksize = -(-len(pairs) // (4 * procs))
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(sweep, np.geterr())
+            max_workers=procs, initializer=_start_worker, initargs=(sweep, np.geterr())
         ) as pool:
             results = list(pool.map(_pair_job, pairs, chunksize=chunksize))
     else:

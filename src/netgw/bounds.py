@@ -231,8 +231,10 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
     All m*n entries come from _kernels.tlb_pow, a merged-quantile sweep
     of about rows_x * rows_y * G work for G breakpoints.  G stays near
     the node counts on uniform measures and on the sphere grids, and the
-    matrix is one block on the global grid.  On generic non-uniform
-    measures G reaches m^2 + n^2 (313,321 on a random 400x393 pair), and
+    matrix is one block on the global grid: one direction of the 400x406
+    sphere pair takes 0.10-0.13 s at p = 2, and of the 1000x990 pair
+    1.2-1.5 s, in a run about 3 times slower than those below.  On generic
+    non-uniform measures G reaches m^2 + n^2 (313,321 on a random 400x393 pair), and
     the block rule tiles the matrix into blocks of 8 rows, each on its
     own grid of about 8 * (m + n) breakpoints.  One direction of that
     400x393 pair takes 0.9-1.0 s at p = 2 and 1.4-1.7 s at p = 1 (3.6-5.7

@@ -232,7 +232,7 @@ def build_parser():
     c.add_argument("--method", choices=METHODS, default="rtlb_max")
     c.add_argument("--p", type=float, default=2.0)
     c.add_argument("--lam", type=float, default=100.0, help="entropic regularizer")
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=int, default=1, help="pool size, capped at pairs and cores")
     c.add_argument("--out", default="netgw-out")
     c.set_defaults(func=cmd_compare)
 

@@ -239,6 +239,43 @@ def test_pool_matches_serial_bit_for_bit(method, k):
         assert {(0, 1), (1, 2)} <= {(f.i, f.j) for f in serial_failures}
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs here."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        self.start = (initializer, initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        assert chunksize >= 1
+        initializer, initargs = self.start
+        initializer(*initargs)
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cores, size", [(None, None), (1, None), (2, 2), (3, 3), (64, 6)])
+def test_pool_size_is_capped_at_pairs_and_cores(monkeypatch, cores, size):
+    # 4 networks give 6 pairs; a pool of 10**6 is never asked for, and a
+    # cap of one runs the pairs serially, without a pool
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    rng = np.random.default_rng(19)
+    nets = [random_network(rng, 3) for _ in range(4)]
+    serial, _ = dissimilarity_matrix(nets, "rtlb_max", workers=1)
+    capped, _ = dissimilarity_matrix(nets, "rtlb_max", workers=10**6)
+    assert _SerialPool.sizes == ([] if size is None else [size])
+    assert capped.D.tobytes() == serial.D.tobytes()
+
+
 def _per_pair_rflb(nets, p):
     return {
         (i, j): max(rflb(nets[i], nets[j], p, "out"), rflb(nets[i], nets[j], p, "in"))

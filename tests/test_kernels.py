@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from netgw import _kernels
-from netgw.bounds import _local_quantiles
+from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc
 from netgw.core import new_network
 
 from conftest import random_coupling, random_network
@@ -146,3 +146,62 @@ def test_block_rule_follows_the_grid(rng, monkeypatch):
         grids.clear()
         _kernels.tlb_pow(qx, cx, qx, cx, 2.0)
         assert len(grids) == calls
+
+
+# ---------------------------------------------------------------------------
+# grid chunks
+
+
+def _chunk_instances(rng):
+    """(qx, cx, qy, cy, zeros) on non-uniform measures; zeros lists the
+    (i, j) entries that must be exactly 0, or is None."""
+    # weights on a few levels: tied atoms within rows, shared breakpoints
+    X = random_network(rng, 9)
+    X = new_network(np.round(X.weights / 5.0), X.measure)
+    Y = random_network(rng, 7, low=-2.0, high=2.0)
+    Y = new_network(np.round(Y.weights), Y.measure)
+    perm = rng.permutation(9)
+    Z = new_network(X.weights[np.ix_(perm, perm)], X.measure[perm])
+    qx, cx = _local_quantiles(X, "out")
+    for other, zeros in ((Y, None), (Z, (perm, np.arange(9)))):
+        yield (qx, cx, *_local_quantiles(other, "out"), zeros)
+    # stacked pushforwards of networks of 2 to 7 nodes: the shorter rows
+    # are padded by their last atom at cumulative 1, and every row meets
+    # itself on the diagonal
+    summaries = [NetworkSummary(random_network(rng, 2 + s % 6)) for s in range(12)]
+    _rows, atoms, cumulative = _stacked_ecc(summaries, 2.0, "out")
+    yield atoms, cumulative, atoms, cumulative, (np.arange(12), np.arange(12))
+
+
+def test_grid_chunks_match_one_chunk(rng, monkeypatch):
+    # chunks of 3 grid points against the whole grid as one chunk, in both
+    # kernels; at p = 2 the flagged resummation runs under chunks too
+    for qx, cx, qy, cy, zeros in _chunk_instances(rng):
+        assert _kernels.merged_grid(cx, cy)[0].size > 3 * 4
+        for p in (1.0, 2.0, 2.5):
+            kernels = (_kernels.tlb_pow, _kernels.quantile_pow)
+            one = [kernel(qx, cx, qy, cy, p) for kernel in kernels]
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "GRID_CHUNK_CELLS", 0)
+                patch.setattr(_kernels, "GRID_CHUNK_MIN", 3)
+                chunked = [kernel(qx, cx, qy, cy, p) for kernel in kernels]
+            for got, want in zip(chunked, one):
+                npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+                assert np.all(got >= 0.0)
+                if zeros is not None:
+                    npt.assert_array_equal(got[zeros], 0.0)
+
+
+def test_quantiles_match_a_per_row_search(rng):
+    # the atom of row i at each grid point g is the first whose cumulative
+    # mass reaches g: a binary search of g in each row, kept here as the
+    # reference for the run-length lookup on every chunk of the grid
+    for qx, cx, qy, cy, _zeros in _chunk_instances(rng):
+        grid, _seg = _kernels.merged_grid(cx, cy)
+        for q, c in ((qx, cx), (qy, cy)):
+            ends = np.searchsorted(grid, c, side="right")
+            size = grid.size
+            for start, stop in ((0, size), (0, 1), (2, 7), (5, size - 1), (size - 3, size)):
+                g = grid[start:stop]
+                want = np.array([a[np.searchsorted(b, g, side="left")] for a, b in zip(q, c)])
+                npt.assert_array_equal(_kernels._quantiles(q, ends, start, stop), want)

@@ -29,21 +29,27 @@ run takes a few minutes on a 2-core machine.
     PYTHONPATH=src python3 scripts/bench_tlb.py [--out BENCH_tlb.json]
 """
 
-import argparse
-import json
 import os
-import platform
-import sys
-import time
 
-import numpy as np
+# one BLAS thread, set before numpy loads, so the timings hold no thread
+# start-up (the first p = 2 products of a process took 10 times longer)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from netgw import _kernels
-from netgw.analysis import dissimilarity_matrix
-from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc, rflb
-from netgw.core import new_network
-from netgw.generators import sample_collection
-from netgw.invariants import sphere_discretize
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from netgw import _kernels  # noqa: E402
+from netgw.analysis import dissimilarity_matrix  # noqa: E402
+from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc, rflb  # noqa: E402
+from netgw.core import new_network  # noqa: E402
+from netgw.generators import sample_collection  # noqa: E402
+from netgw.invariants import sphere_discretize  # noqa: E402
 
 KERNEL_TOL = 1e-11
 SWEEP_TOL = 1e-12

@@ -11,10 +11,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import _kernels
 from .errors import (
     DomainError,
+    EncodeError,
     IoError,
     MarginalMismatchError,
     MeasureNotNormalizedError,
@@ -269,13 +271,26 @@ def dnp_to_point(X: MeasureNetwork, a, p) -> float:
 # ---------------------------------------------------------------------------
 # network JSON format: {"labels": [...], "weights": [[...]], "measure": [...]}
 
+def _network_json(X: MeasureNetwork) -> bytes:
+    """The network's one-line JSON document as UTF-8 bytes.
+
+    orjson writes the frozen arrays without a list copy, each float in
+    its shortest text that reads back to the same bits.
+    """
+    doc = {"labels": X.labels, "weights": X.weights, "measure": X.measure}
+    try:
+        return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
+    except orjson.JSONEncodeError as err:
+        # the arrays are finite contiguous float64, so only a label that
+        # UTF-8 cannot encode (a lone surrogate) fails here
+        for label in X.labels or ():
+            if label != label.encode("utf-8", "replace").decode("utf-8"):
+                raise EncodeError(f"label {label!r} cannot be written as UTF-8") from err
+        raise
+
+
 def network_to_json(X: MeasureNetwork) -> str:
-    doc = {
-        "labels": list(X.labels) if X.labels is not None else None,
-        "weights": X.weights.tolist(),
-        "measure": X.measure.tolist(),
-    }
-    return json.dumps(doc)
+    return _network_json(X).decode("utf-8")
 
 
 def network_from_json(text: str) -> MeasureNetwork:
@@ -305,10 +320,11 @@ def network_from_json(text: str) -> MeasureNetwork:
 
 
 def save_network(X: MeasureNetwork, path):
+    data = _network_json(X)
     try:
-        with open(path, "w") as fh:
-            fh.write(network_to_json(X))
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.write(b"\n")
     except OSError as err:
         raise IoError(f"cannot write {path}: {err}") from err
 

@@ -98,5 +98,9 @@ class ParseError(NetgwError, ValueError):
         self.col = col
 
 
+class EncodeError(NetgwError, ValueError):
+    """Value that the output format cannot represent."""
+
+
 class IoError(NetgwError, OSError):
     """File could not be read or written."""

@@ -157,15 +157,17 @@ def sphere_subsize_closed_form(n, p, t) -> float:
 
     The p-th power is (S_{n-1}/S_n) * integral_0^t phi^p sin^{n-1}(phi)
     dphi; for n = 1 that is t^(p+1) / ((p+1) pi), taken in logs.  For
-    n >= 2, phi = t u gives t^(p+1) * integral_0^1 u^p sin^{n-1}(t u) du,
-    and t^(p+1) leaves the root as t^((p+1)/p), so no power of t can
-    overflow.  The integral is split at u = 1/2: on [0, 1/2] as it
+    n >= 2, phi = t u gives t^(p+n) * integral_0^1 u^p (sin(t u)/t)^{n-1}
+    du, and t^(p+n) leaves the root as t^((p+n)/p), so no power of t can
+    overflow or underflow.  The integral is split at u = 1/2: on [0, 1/2] as it
     stands, and on [1/2, 1] with v = u^(p+1), which turns u^p du into
     dv / (p+1) and spreads the mass that u^p packs against u = 1 at
     large p.  Both integrands are smooth and at most 1, and each part
-    goes to adaptive quadrature at relative error 1e-12.  The result
-    agrees with the direct form to 1e-13 relative wherever that form is
-    a normal number, and stays finite and near t up to p = 1e6.
+    goes to adaptive quadrature at relative error 1e-12.  The 1/p root
+    is taken in logs, so the p-th power may lie below the smallest
+    double.  The result agrees with the direct form to 1e-13 relative
+    wherever that form is a normal number, and stays finite and near t
+    at every finite order (within rounding of t from about p = 1e18).
     """
     n = int(n)
     if n < 1:
@@ -180,16 +182,24 @@ def sphere_subsize_closed_form(n, p, t) -> float:
     if n == 1:
         return math.exp(math.log(t) * (1.0 + 1.0 / p) - (math.log1p(p) + math.log(math.pi)) / p)
     ratio = sphere_surface_area(n - 1) / sphere_surface_area(n)
-    root = 1.0 / (p + 1.0)
     low, _ = quad(
-        lambda u: u**p * math.sin(t * u) ** (n - 1),
+        lambda u: u**p * (math.sin(t * u) / t) ** (n - 1),
         0.0, 0.5, epsabs=0.0, epsrel=1e-12, limit=200,
     )
-    high, _ = quad(
-        lambda v: math.sin(t * v**root) ** (n - 1),
-        0.5 ** (p + 1.0), 1.0, epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    return t ** (1.0 + 1.0 / p) * (ratio * (low + high * root)) ** (1.0 / p)
+    # t u = t v^(1/(p+1)) = t - s with s = t (1 - v^(1/(p+1))) from
+    # expm1, and sin(t - s) is expanded: near t = pi, sin(t u) is small and
+    # a rounded argument t u would carry an absolute error of one ulp of pi
+    sin_t, cos_t = math.sin(t), math.cos(t)
+
+    def upper(v):
+        s = -t * math.expm1(math.log(v) / (p + 1.0))
+        return ((sin_t * math.cos(s) - cos_t * math.sin(s)) / t) ** (n - 1)
+
+    high, _ = quad(upper, 0.5 ** (p + 1.0), 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    # the integrands carry sin(t u) / t, which stays near u at small t, so
+    # the p-th power is t^(p+n) ratio (low + high / (p+1)): in logs
+    log_power = math.log(ratio) - math.log1p(p) + math.log(low * (p + 1.0) + high)
+    return math.exp(math.log(t) * (1.0 + n / p) + log_power / p)
 
 
 def sphere_discretize(n, resolution) -> MeasureNetwork:

@@ -488,3 +488,17 @@ def test_sphere_bound_at_large_order(capsys):
         assert main(["sphere-bound", "--n1", "1", "--n2", "2", "--p", p, "--grid", "64"]) == 0
         values.append(float(capsys.readouterr().out.strip()))
     assert 0.0 < values[1] < values[0] < 0.03
+
+
+@pytest.mark.parametrize("n1, n2, p", [("1", "2", "1e8"), ("2", "3", "1e300")])
+def test_sphere_bound_at_extreme_order_is_quiet(tmp_path, capfd, n1, n2, p):
+    # at p = 1e8 sin(t u) cancels near t = pi; at p = 1e300 the size's
+    # p-th power underflows.  At 1e300 each size rounds to t itself, so
+    # the two curves coincide and the printed bound is 0.
+    assert _netgw(tmp_path, "sphere-bound", "--n1", n1, "--n2", n2, "--p", p) == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    value = float(lines[0])
+    assert 0.0 < value < 1e-4 if p == "1e8" else value == 0.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from netgw.core import (
 )
 from netgw.errors import (
     DomainError,
+    EncodeError,
     IoError,
     MarginalMismatchError,
     MeasureNotNormalizedError,
@@ -469,15 +471,38 @@ def test_network_json_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     X = random_network(rng, 5)
     weights = X.weights * np.logspace(-12, 12, 5)[:, None]
+    # subnormals, the smallest normal, +-max, exponent and decimal spellings
+    weights[1] = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308]
+    weights[2, :4] = [1e16, 1e-5, 0.1, -0.0]
     weights[0, 0] = -0.0
-    X = new_network(weights, X.measure, labels=list("abcde"))
+    X = new_network(weights, X.measure, labels=["café", 'a"b\\c', "\n", "", "e"])
     path = tmp_path / "net.json"
     save_network(X, path)
-    assert len(path.read_text().splitlines()) == 1
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    # the spelling any JSON reader sees; stdlib json is what perfbench reads with
+    doc = json.loads(text)
+    assert np.array(doc["weights"]).tobytes() == X.weights.tobytes()
+    assert np.array(doc["measure"]).tobytes() == X.measure.tobytes()
+    assert tuple(doc["labels"]) == X.labels
     Y = load_network(path)
     assert X.weights.tobytes() == Y.weights.tobytes()
     assert X.measure.tobytes() == Y.measure.tobytes()
     assert X.labels == Y.labels
+    assert network_to_json(X) == text[:-1]
+
+
+def test_unencodable_label_is_a_package_error(tmp_path):
+    # stdlib json reads an escaped lone surrogate; UTF-8 cannot write it
+    X = network_from_json('{"weights": [[0]], "labels": ["\\ud800"]}')
+    assert X.labels == ("\ud800",)
+    with pytest.raises(EncodeError, match=r"label '\\ud800'"):
+        network_to_json(X)
+    path = tmp_path / "net.json"
+    with pytest.raises(EncodeError, match=r"label '\\ud800'"):
+        save_network(X, path)
+    assert not path.exists()
 
 
 def test_save_network_to_unwritable_path(tmp_path):

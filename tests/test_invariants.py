@@ -350,6 +350,22 @@ def test_sphere_subsize_finite_at_large_order(n):
             assert 0.95 * t < value < t ** (1.0 + 1.0 / p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_subsize_quiet_at_extreme_order(n):
+    # no quadrature warning from sin(t u) near t = pi at p = 1e8, no
+    # underflow of the p-th power at p = 1e300
+    for p in (1e8, 1e300):
+        for t in (0.01, 1.0, math.pi):
+            assert sphere_subsize_closed_form(n, p, t) == pytest.approx(t, rel=1e-6)
+    # at t = 1e-200, where sin(t u)^(n-1) underflows, the size is its
+    # first-order form t^(1+n/p) (S_{n-1} / (S_n (p+n)))^(1/p)
+    ratio = sphere_surface_area(n - 1) / sphere_surface_area(n) if n > 1 else 1.0 / math.pi
+    for p in (50.0, 100.0):
+        want = math.exp(math.log(1e-200) * (1.0 + n / p) + math.log(ratio / (p + n)) / p)
+        assert sphere_subsize_closed_form(n, p, 1e-200) == pytest.approx(want, rel=1e-12)
+
+
 def test_sphere_subsize_domain_checks():
     assert sphere_subsize_closed_form(3, 2.0, 0.0) == 0.0
     with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
-"""The scripts under scripts/ import, the gates of bench_exact_ot and
-bench_tlb hold on tiny inputs, and the two result gates run end to end."""
+"""The scripts under scripts/ import, the gates of bench_exact_ot,
+bench_tlb and bench_io hold on tiny inputs, and the two result gates run
+end to end."""
 
 import importlib
 import json
@@ -22,7 +23,7 @@ def scripts_path(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
 def test_script_imports(scripts_path, name):
-    # bench_summaries sets BLAS thread variables on import
+    # bench_summaries and bench_tlb set BLAS thread variables on import
     with mock.patch.dict(os.environ):
         module = importlib.import_module(name)
     assert callable(module.main)
@@ -88,3 +89,27 @@ def test_bench_tlb_gate_on_small_inputs(scripts_path):
     assert bench.relative_gap([1e-300], [0.0]) == np.inf
     sweep[0]["worst_rel_gap"] = 2 * bench.SWEEP_TOL
     assert bench.failing(report) == sweep
+
+
+def test_bench_io_gate_on_small_networks(scripts_path):
+    """Both writers read back to the same bits on a non-uniform and a
+    labelled network; the gate catches a float written short."""
+    bench = importlib.import_module("bench_io")
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(3, 3)) * [[1e-300], [1.0], [1e300]]
+    w[0, 0] = -0.0
+    mu = rng.random(3) + 0.1
+    plain = new_network(w, mu / mu.sum())
+    labelled = new_network(rng.random((3, 3)), np.full(3, 1 / 3), ["café", 'a"b\\c', "\n"])
+    rows = [bench.io_row("plain", plain, 1), bench.io_row("labelled", labelled, 1)]
+    assert bench.failing(rows) == []
+    old = bench.old_text(plain)
+    new = bench.new_text(plain)
+    # drop the last digit of the first mass; lose the sign of -0.0
+    comma = new.index(",", new.index('"measure":['))
+    assert bench.differing(old, new[: comma - 1] + new[comma:]) == ["measure"]
+    assert bench.differing(old, new.replace('[[-0.0,', '[[0.0,')) == ["weights"]
+    text = bench.new_text(labelled)
+    assert bench.differing(text, text.replace("caf", "cafe")) == ["labels"]
+    rows[0]["differing"] = ["weights"]
+    assert bench.failing(rows) == rows[:1]

@@ -86,7 +86,12 @@ def _pair_value(xi, xj, method, p, config):
     # the value of an unconverged or aborted run is only the distortion
     # of some coupling, not an estimate of d_{N,2}; record a failure
     if res.inner_error is not None or not res.converged:
-        reason = res.inner_error or "the plan was still moving"
+        if res.inner_error is not None:
+            reason = res.inner_error
+        elif res.cycle:
+            reason = f"the plan cycles with period {res.cycle} (outer iteration {res.iterations})"
+        else:
+            reason = "the plan was still moving"
         raise NotConvergedError(
             f"entropic_gw stopped after {res.iterations} outer iterations: {reason}"
         )

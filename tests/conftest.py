@@ -1,4 +1,7 @@
+import os
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +69,18 @@ def scaled_network(draw, max_nodes=4, exponents=st.integers(-6, 6)):
     w = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))) * scale
     mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     return new_network(w.reshape(n, n), mass / mass.sum())
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def scripts_path(monkeypatch):
+    """scripts/ on sys.path; the BLAS thread variables that bench_summaries,
+    bench_tlb and others set on import stay out of the suite's environment."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    with mock.patch.dict(os.environ):
+        yield
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import pytest
 from netgw.analysis import load_dissimilarity_csv
 from netgw.cli import main
 from netgw.core import load_network, new_network, one_point_network, save_network
+from netgw.generators import normalize_max_abs, sample_collection
 
 
 @pytest.fixture
@@ -171,6 +172,25 @@ def test_compare_entropic_range_failure_exits_one(tmp_path, capsys):
     assert report["failures"][0]["pair"] == ["x", "y"]
     assert "RangeTooWideError" in report["failures"][0]["error"]
     assert not load_dissimilarity_csv(out / "dissimilarity.csv").complete
+
+
+def test_compare_entropic_names_the_orbit(tmp_path, capsys):
+    # normalized table1 c2 against c4 at the default lam: the plan enters
+    # an orbit of period 20, caught at outer iteration 51
+    nets, _, labels = sample_collection("table1", per_class=1, base_seed=0)
+    d = tmp_path / "nets"
+    d.mkdir()
+    for net, label in zip(nets, labels):
+        if label in ("c2-00", "c4-00"):
+            save_network(normalize_max_abs(net), d / f"{label}.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", str(d), "--method", "entropic_gw", "--out", str(out)]) == 1
+    assert "1 of 1 pairs failed" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"][0]["error"] == (
+        "NotConvergedError: entropic_gw stopped after 51 outer iterations: "
+        "the plan cycles with period 20 (outer iteration 51)"
+    )
 
 
 def test_compare_nonfinite_pairs_exit_one(tmp_path, capsys):

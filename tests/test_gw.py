@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from netgw.errors import (
     MarginalMismatchError,
     MaxItersExceededError,
 )
+from netgw.generators import normalize_max_abs, sample_collection
 from netgw.gw import (
     BRUTEFORCE_CELL_LIMIT,
     cosine_rule_inner,
@@ -164,6 +167,115 @@ def test_entropic_gw_reports_diverged_inner_solve(monkeypatch):
     assert res.iterations == 1
     assert res.inner_error == "inner solver diverged"
     npt.assert_array_equal(res.coupling.plan, product_coupling(X.measure, Y.measure).plan)
+
+
+def _replay(monkeypatch, plans):
+    # the k-th inner solve returns plans[k - 1], the last one from then on
+    calls = []
+
+    def fake(cost, config, mu, nu):
+        calls.append(None)
+        plan = plans[min(len(calls), len(plans)) - 1]
+        return SinkhornResult(plan=Coupling(plan, mu, nu), iterations=1, marginal_error=0.0,
+                              absorptions=0, kernel_min=1.0, kernel_max=1.0, converged=True)
+
+    monkeypatch.setattr(gw, "sinkhorn_log", fake)
+
+
+@pytest.mark.parametrize(
+    "tail, period, stop",
+    [
+        # anchors at outer iterations 0, 1, 3, 7, 15, 31, ...: the first
+        # anchor inside the orbit with a power of two >= period catches it
+        (0, 3, 6),
+        (4, 3, 10),
+        (0, 20, 51),
+    ],
+)
+def test_entropic_gw_stops_on_a_periodic_orbit(monkeypatch, tail, period, stop):
+    r = np.random.default_rng(9)
+    X = random_network(r, 3)
+    Y = random_network(r, 4)
+    plans = [random_coupling(r, X.measure, Y.measure).plan for _ in range(tail + period)]
+    orbit = plans[tail:]
+    _replay(monkeypatch, plans + orbit * (300 // period))
+    res = entropic_gw(X, Y, CFG)
+    assert not res.converged
+    assert res.inner_error is None
+    assert (res.iterations, res.cycle) == (stop, period)
+    npt.assert_array_equal(res.coupling.plan, orbit[(stop - tail - 1) % period])
+    assert res.value == 0.5 * distortion(X, Y, res.coupling, 2.0)
+
+
+def test_entropic_gw_fixed_point_after_moving_plans(monkeypatch):
+    # three distinct plans, then one repeated: the plan stops moving at
+    # outer iteration 5 whatever the anchor holds
+    r = np.random.default_rng(9)
+    X = random_network(r, 3)
+    Y = random_network(r, 4)
+    _replay(monkeypatch, [random_coupling(r, X.measure, Y.measure).plan for _ in range(4)])
+    res = entropic_gw(X, Y, CFG)
+    assert res.converged
+    assert (res.iterations, res.cycle) == (5, 0)
+
+
+def test_entropic_gw_converges_through_a_damped_oscillation(monkeypatch):
+    # q_k = q + (-0.9)^k s D with D of zero marginals: the step first drops
+    # to plan_tol at outer iteration 140, but at 129 the plan is already
+    # within plan_tol of the anchor set at 127, at about a tenth of its step
+    r = np.random.default_rng(9)
+    X = random_network(r, 3, uniform_measure=True)
+    Y = random_network(r, 4, uniform_measure=True)
+    q = product_coupling(X.measure, Y.measure).plan
+    D = np.zeros_like(q)
+    D[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    s = 0.5e-8 / (4 * 0.9**139)
+    plans = [q + (-0.9) ** k * s * D for k in range(1, 200)]
+    steps = [np.abs(b - a).sum() for a, b in zip([q] + plans, plans)]
+    assert next(k for k, step in enumerate(steps, 1) if step <= 1e-8) == 140
+    assert np.abs(plans[128] - plans[126]).sum() <= 1e-8 < steps[128]
+    _replay(monkeypatch, plans)
+    res = entropic_gw(X, Y, CFG)
+    assert res.converged
+    assert (res.iterations, res.cycle) == (140, 0)
+    npt.assert_array_equal(res.coupling.plan, plans[139])
+
+
+def _reference_pairs():
+    r = np.random.default_rng(21)
+    for lam in (5.0, 20.0):
+        for _ in range(6):
+            X = random_network(r, int(r.integers(2, 7)), -1.0, 1.0)
+            Y = random_network(r, int(r.integers(2, 7)), -1.0, 1.0)
+            yield X, Y, SinkhornConfig(lam=lam)
+    nets, _, labels = sample_collection("table1", per_class=1, base_seed=0)
+    X, Y = (normalize_max_abs(nets[labels.index(label)]) for label in ("c2-00", "c4-00"))
+    yield X, Y, SinkhornConfig(lam=100.0)  # a period-20 orbit
+
+
+def test_entropic_gw_matches_the_loop_without_cycle_check(scripts_path):
+    # scripts/bench_entropic.py keeps the outer loop without the cycle check
+    reference_entropic_gw = importlib.import_module("bench_entropic").reference_entropic_gw
+    outcomes = set()
+    for X, Y, config in _reference_pairs():
+        res = entropic_gw(X, Y, config)
+        plans, outcome = reference_entropic_gw(X, Y, config)
+        converged = outcome == "converged"
+        assert res.converged == converged
+        # the returned plan is the reference's plan at the same iteration
+        assert res.coupling.plan.tobytes() == plans[res.iterations].tobytes()
+        if converged or not res.cycle:
+            assert res.iterations == len(plans) - 1
+            last = Coupling(plans[-1], X.measure, Y.measure)
+            assert res.value == 0.5 * distortion(X, Y, last, 2.0)
+        else:
+            # stopped early; the reference still fails to converge on the budget
+            assert res.iterations < 200 == len(plans) - 1
+            gap = np.abs(plans[res.iterations] - plans[res.iterations - res.cycle]).sum()
+            assert gap <= 1e-8
+        outcomes.add((res.converged, res.cycle > 0))
+    # converged, cycle-stopped and budget-stopped runs all occur
+    assert outcomes == {(True, False), (False, True), (False, False)}
 
 
 def test_entropic_gw_init_variants(fig2_triple):

@@ -1,31 +1,23 @@
 """The scripts under scripts/ import, the gates of bench_exact_ot,
-bench_tlb and bench_io hold on tiny inputs, and the two result gates run
-end to end."""
+bench_tlb, bench_io and bench_entropic hold on tiny inputs, and the two
+result gates run end to end."""
 
+import dataclasses
 import importlib
 import json
-import os
-from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from netgw.core import new_network
+from netgw.ot import SinkhornConfig
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-@pytest.fixture
-def scripts_path(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
+from conftest import SCRIPTS
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
 def test_script_imports(scripts_path, name):
-    # bench_summaries and bench_tlb set BLAS thread variables on import
-    with mock.patch.dict(os.environ):
-        module = importlib.import_module(name)
+    module = importlib.import_module(name)
     assert callable(module.main)
 
 
@@ -113,3 +105,38 @@ def test_bench_io_gate_on_small_networks(scripts_path):
     assert bench.differing(text, text.replace("caf", "cafe")) == ["labels"]
     rows[0]["differing"] = ["weights"]
     assert bench.failing(rows) == rows[:1]
+
+
+def test_bench_entropic_gate_on_small_pairs(scripts_path):
+    """A converged, a cycle-stopped and a budget-stopped pair agree with the
+    reference loop; the gate catches a planted flag, value or plan change."""
+    bench = importlib.import_module("bench_entropic")
+    rng = np.random.default_rng(21)
+    config = SinkhornConfig(lam=20.0)
+    runs = {}
+    for _ in range(16):
+        X, Y = (new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n))
+                for n in rng.integers(2, 7, size=2))
+        row = bench.pair_row("pair", X, Y, config)
+        assert row["differing"] == []
+        runs.setdefault(row["change"]["outcome"], (X, Y))
+    assert set(runs) == {"converged", "cycle", "budget"}
+    assert bench.failing({"draws": [{"rows": [row]}]}) == []
+
+    X, Y = runs["converged"]
+    res = bench.gw.entropic_gw(X, Y, config)
+    plans, outcome = bench.reference_entropic_gw(X, Y, config)
+    assert bench.differing(X, Y, res, plans, outcome) == []
+    assert bench.differing(X, Y, dataclasses.replace(res, converged=False), plans,
+                           outcome) == ["converged"]
+    assert bench.differing(X, Y, dataclasses.replace(res, value=np.nextafter(res.value, 1)),
+                           plans, outcome) == ["value"]
+    X, Y = runs["cycle"]
+    res = bench.gw.entropic_gw(X, Y, config)
+    plans, outcome = bench.reference_entropic_gw(X, Y, config)
+    assert outcome == "budget" and bench.tail_period(plans) == res.cycle
+    assert bench.differing(X, Y, res, plans, outcome) == []
+    shifted = dataclasses.replace(res, iterations=res.iterations - 1)
+    assert bench.differing(X, Y, shifted, plans, outcome) == ["plan"]
+    row["differing"] = ["plan"]
+    assert bench.failing({"draws": [{"rows": [row]}]}) == [row]

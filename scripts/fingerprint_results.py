@@ -17,8 +17,9 @@ The results are:
   network max-abs normalized;
 - entropic_gw at lam 100 on three max-abs normalized table1 pairs:
   value, iterations, converged, inner stalls and plan;
-- distortion and _kernels.dis_pow at p in {1, 2, 2.5, inf} on 40 random
-  pairs with weight scales from 1e-6 to 1e6;
+- distortion and _kernels.dis_pow, the sum over pairs of support cells
+  behind every order (p = 2 expands the square first), at p in
+  {1, 2, 2.5, inf} on 40 random pairs with weight scales from 1e-6 to 1e6;
 - gw_bruteforce at p in {1, 2, inf} on those pairs with at most 9 plan
   cells;
 - the rtlb_max reports (numbers and both couplings) on the 40 pairs at
@@ -26,8 +27,11 @@ The results are:
 - sinkhorn and sinkhorn_log on 20 costs x lam in {1, 10, 100, 300}:
   iterations, absorptions, plan and kernel range, or the exception type.
 
-A result that raises is fingerprinted by its exception type.  The script
-only uses names that have been stable across refactors, and exits 0.
+A result that raises is fingerprinted by its exception type.  A sum
+taken in another order moves the distortion, dis_pow and gw_bruteforce
+keys by rounding alone; scripts/oracle_values.py --against compares
+the gw_bruteforce values themselves.  The script only uses names that
+have been stable across refactors, and exits 0.
 """
 
 import hashlib

@@ -8,11 +8,12 @@ rtlb_max at p in {1, 2}:
     PYTHONPATH=<old checkout>/src python3 scripts/oracle_values.py > before.json
     PYTHONPATH=src python3 scripts/oracle_values.py --against before.json > BENCH_oracle.json
 
-With --against, the output also holds, for each order, how many values
-fell and how many rose against the earlier run, with the largest
-relative fall and rise.  The script exits 1 when a value rises by more
-than RISE_BOUND relative, or when a lower bound exceeds its oracle
-(rtlb_max > 2 * gw_bruteforce + SANDWICH_TOL).
+The earlier run may be a plain one or one made with --against, like
+BENCH_oracle.json.  With --against, the output also holds, for each
+order, how many values fell and how many rose against the earlier run,
+with the largest relative fall and rise.  The script exits 1 when a
+value rises by more than RISE_BOUND relative, or when a lower bound
+exceeds its oracle (rtlb_max > 2 * gw_bruteforce + SANDWICH_TOL).
 """
 
 import argparse
@@ -100,7 +101,9 @@ def main(argv=None):
     failed = bool(violations)
     if args.against:
         with open(args.against) as fh:
-            before = json.load(fh)["values"]
+            earlier = json.load(fh)
+        # a plain run holds its values, a compared run (BENCH_oracle.json) its "after"
+        before = earlier["values"] if "values" in earlier else earlier["after"]
         if sorted(before) != sorted(values):
             raise SystemExit("error: the two runs cover different pairs")
         summary = compare(before, values)

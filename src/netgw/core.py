@@ -231,41 +231,55 @@ def _check_marginals(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling):
         )
 
 
+class _Dis2:
+    """dis_2(P)^2 = mu.ex + nu.ey - 2 <cross(P), P> for couplings P of X and Y,
+    with ex = (wx^2) mu, ey = (wy^2) nu and cross(P) = wx P wy^T; summed over
+    (k, l) against P, (wx[i,k] - wy[j,l])^2 is ex[i] + ey[j] - 2 cross(P)[i,j].
+    """
+
+    def __init__(self, X: MeasureNetwork, Y: MeasureNetwork):
+        self.wx, self.wy = X.weights, Y.weights
+        sq_x, sq_y = self.wx**2, self.wy**2
+        self.ex, self.ey = sq_x @ X.measure, sq_y @ Y.measure
+        # mu.ex + nu.ey, summed as (mu wx^2) mu to keep distortion's values bit for bit
+        self.scale = float(X.measure @ sq_x @ X.measure) + float(Y.measure @ sq_y @ Y.measure)
+
+    def cross(self, plan):
+        return self.wx @ plan @ self.wy.T
+
+    def squared(self, plan) -> float:
+        val = self.scale - 2.0 * float(np.sum(self.cross(plan) * plan))
+        # the expansion cancels near 0, and is inf or nan once the squared weights
+        # overflow; resum those over the support: terms >= 0 (exact at 0), no inf * 0
+        if not val > 64.0 * np.finfo(np.float64).eps * self.scale:
+            val = float(_kernels.dis_pow(self.wx, self.wy, plan, 2.0))
+        return val
+
+
 def distortion(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling, p) -> float:
     """p-distortion of a coupling.
 
     For finite p this is the L^p norm of omega_X(i,k) - omega_Y(j,l)
     under the product of the plan with itself; for p = inf it is the
-    max over quadruples carrying positive plan mass.
+    max over quadruples carrying positive plan mass.  Both are summed over
+    the plan's support by _kernels.dis_pow, but p = 2 expands the square
+    (_Dis2) and resums only where that is non-finite or near 0.
     """
     _check_marginals(X, Y, mu)
     p = _check_order(p)
-    wx, wy, plan = X.weights, Y.weights, mu.plan
     if p == 2.0:
-        # expansion |a-b|^2 = a^2 + b^2 - 2ab under plan (x) plan
-        sx = float(X.measure @ (wx * wx) @ X.measure)
-        sy = float(Y.measure @ (wy * wy) @ Y.measure)
-        cross = float(np.sum((wx @ plan @ wy.T) * plan))
-        val = sx + sy - 2.0 * cross
-        # the expansion cancels catastrophically near zero; below its own
-        # noise floor, resum as nonnegative quadruple terms (exact at 0)
-        if val <= 64.0 * np.finfo(np.float64).eps * (sx + sy):
-            val = float(_kernels.dis_pow(wx, wy, plan, 2.0))
-        return float(np.sqrt(max(val, 0.0)))
-    val = float(_kernels.dis_pow(wx, wy, plan, p))
+        return float(np.sqrt(_Dis2(X, Y).squared(mu.plan)))
+    val = float(_kernels.dis_pow(X.weights, Y.weights, mu.plan, p))
     # dis_pow is already the sup at p = inf, where x ** (1/p) would be 1
     return val if np.isinf(p) else val ** (1.0 / p)
 
 
 def dnp_to_point(X: MeasureNetwork, a, p) -> float:
-    """Exact GW-type distance from X to the one-node network at a."""
-    a = float(a)
+    """Exact GW-type distance from X to the one-node network at a: half the
+    distortion of the one coupling, the product, summed over its support."""
     p = _check_order(p)
-    diff = np.abs(X.weights - a)
-    if np.isinf(p):
-        return 0.5 * float(diff.max())
-    outer = np.outer(X.measure, X.measure)
-    return 0.5 * float(np.sum(diff**p * outer)) ** (1.0 / p)
+    val = _kernels.dis_pow(X.weights, np.array([[float(a)]]), X.measure[:, None], p)
+    return 0.5 * (val if np.isinf(p) else val ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from .core import (
     MeasureNetwork,
     _check_marginals,
     _check_order,
+    _Dis2,
     distortion,
     product_coupling,
 )
@@ -21,8 +22,6 @@ from .errors import (
     MaxItersExceededError,
     RangeTooWideError,
 )
-from .invariants import size_p
-
 # _round_to_marginals is not called here, but perfbench's gw.round span patches
 # netgw.gw._round_to_marginals and scripts/fingerprint_results.py imports it from here
 from .ot import SinkhornConfig, _round_to_marginals, sinkhorn_log  # noqa: F401
@@ -60,10 +59,9 @@ class GwResult:
     cycle: int = 0
 
 
-def _linearized_cost(wx, wy, ex, ey, plan):
-    # M(i,j) = sum_{k,l} (wx[i,k] - wy[j,l])^2 plan[k,l], expanded so the
-    # cross term is two matmuls; ex/ey are the plan-independent squares
-    return ex[:, None] + ey[None, :] - 2.0 * (wx @ plan @ wy.T)
+def _linearized_cost(dis2, plan):
+    # M(i,j) = sum_{k,l} (wx[i,k] - wy[j,l])^2 plan[k,l], expanded by _Dis2
+    return dis2.ex[:, None] + dis2.ey[None, :] - 2.0 * dis2.cross(plan)
 
 
 def entropic_gw(
@@ -109,9 +107,7 @@ def entropic_gw(
     elif not isinstance(init, Coupling):
         raise DomainError(f"init must be a Coupling or None, got {init!r}")
     _check_marginals(X, Y, init)
-    wx, wy = X.weights, Y.weights
-    ex = (wx**2) @ X.measure
-    ey = (wy**2) @ Y.measure
+    dis2 = _Dis2(X, Y)
     plan = init.plan
 
     converged = False
@@ -121,7 +117,7 @@ def entropic_gw(
     cycle = 0
     anchor, lag, power = plan, 0, 1
     for iterations in range(1, outer_iters + 1):
-        cost = _linearized_cost(wx, wy, ex, ey, plan)
+        cost = _linearized_cost(dis2, plan)
         try:
             new_plan = sinkhorn_log(cost, config, X.measure, Y.measure).plan.plan
         except MaxItersExceededError as err:
@@ -171,8 +167,8 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
     Each S covering every row and column gives one candidate, the
     least-squares stationary point, kept if nonnegative to 1e-12 (then
     clipped).  Where the form is singular on a face, that point has the
-    minimum's value or the minimum also lies on a lower face.  dis_sup only
-    grows with the support, so p = inf tries the vertices only.  One row or
+    minimum's value or the minimum also lies on a lower face.  The sup-distortion
+    only grows with the support, so p = inf tries the vertices only.  One row or
     column forces the product plan.  iterations counts the candidates kept.
     Raises DomainError when the form overflows.
     """
@@ -235,14 +231,8 @@ def gw_bruteforce(X: MeasureNetwork, Y: MeasureNetwork, p) -> GwResult:
 
 
 def cosine_rule_inner(X: MeasureNetwork, Y: MeasureNetwork, coupling: Coupling) -> float:
-    """s^2 + t^2 - <wx P wy^T, P> / 2 with s, t the half 2-sizes.
-
-    Equals dis_2(P)^2 / 4, so it plays the role of a squared chord
-    length between unit-size representatives.
-    """
+    """dis_2(P)^2 / 4, that is s^2 + t^2 - <wx P wy^T, P> / 2 with s, t the
+    half 2-sizes: a squared chord length between unit-size representatives,
+    never negative, and 0 at a weight-preserving coupling."""
     _check_marginals(X, Y, coupling)
-    s = 0.5 * size_p(X, 2.0)
-    t = 0.5 * size_p(Y, 2.0)
-    plan = np.asarray(coupling.plan)
-    cross = float(np.sum((X.weights @ plan @ Y.weights.T) * plan))
-    return s * s + t * t - 0.5 * cross
+    return _Dis2(X, Y).squared(coupling.plan) / 4.0

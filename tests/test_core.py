@@ -278,6 +278,20 @@ def test_distortion_sup_ignores_zero_mass_pairs():
     assert distortion(Z, Z, c, np.inf) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_distortion_with_overflowing_squares_is_never_nan():
+    # the squared weights overflow: the p = 2 expansion is inf - inf, and a
+    # dense quadruple sum would meet inf * 0 at the zero cells of the plan
+    X = new_network([[0.0, 1e200], [-1e200, 0.0]], [0.5, 0.5])
+    identity = diagonal_coupling(X.measure)
+    product = product_coupling(X.measure, X.measure)
+    for p in (1.0, 2.0, 3.0, np.inf):
+        assert distortion(X, X, identity, p) == 0.0
+        value = distortion(X, X, product, p)
+        assert not math.isnan(value)
+        assert math.isinf(value) == (p in (2.0, 3.0))
+
+
 def test_distortion_rejects_p_below_one(fig2_triple):
     X, Y, _ = fig2_triple
     c = product_coupling(X.measure, Y.measure)

@@ -1,61 +1,79 @@
+import itertools
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from netgw import _kernels
 from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc
-from netgw.core import new_network
+from netgw.core import Coupling, distortion, new_network
+from netgw.invariants import sphere_discretize
 
 from conftest import random_coupling, random_network
-
-
-def _instance(rng, m, n, uniform=False):
-    X = random_network(rng, m, uniform_measure=uniform)
-    Y = random_network(rng, n, uniform_measure=uniform)
-    plan = np.array(random_coupling(rng, X.measure, Y.measure).plan)
-    # zero out a few cells so the sparsity branches run
-    plan[plan < np.quantile(plan, 0.2)] = 0.0
-    return X, Y, plan
 
 
 # ---------------------------------------------------------------------------
 # python-loop oracles
 
 
-def test_dis_pow_against_quadruple_loops(rng):
-    X, Y, plan = _instance(rng, 3, 4)
-    for p in (1.0, 2.0, 2.5):
-        acc = 0.0
-        for i in range(3):
-            for j in range(4):
-                for k in range(3):
-                    for l in range(4):
-                        acc += (
-                            abs(X.weights[i, k] - Y.weights[j, l]) ** p
-                            * plan[i, j]
-                            * plan[k, l]
-                        )
-        got = _kernels.dis_pow(X.weights, Y.weights, plan, p)
-        assert got == pytest.approx(acc, abs=1e-12)
+def _loop_dis_pow(wx, wy, plan, p):
+    """The quadruple loop over (i, j, k, l): the sum of |wx[i,k] - wy[j,l]|^p
+    plan[i,j] plan[k,l], or at p = inf the max gap over positive masses."""
+    m, n = plan.shape
+    acc = 0.0
+    for i, j, k, l in itertools.product(range(m), range(n), range(m), range(n)):
+        gap = abs(wx[i, k] - wy[j, l])
+        if np.isinf(p):
+            if plan[i, j] > 0.0 and plan[k, l] > 0.0:
+                acc = max(acc, gap)
+        else:
+            acc += gap**p * plan[i, j] * plan[k, l]
+    return acc
 
 
-def test_dis_sup_against_loops(rng):
-    X, Y, plan = _instance(rng, 3, 3)
-    best = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    if plan[i, j] > 0.0 and plan[k, l] > 0.0:
-                        best = max(
-                            best, abs(X.weights[i, k] - Y.weights[j, l])
-                        )
-    assert _kernels.dis_sup(X.weights, Y.weights, plan) == pytest.approx(
-        best, abs=1e-15
-    )
-    assert _kernels.dis_pow(X.weights, Y.weights, plan, np.inf) == _kernels.dis_sup(
-        X.weights, Y.weights, plan
-    )
+def _plan(rng, kind):
+    """(wx, wy, plan) under a dense coupling, a sparse plan or a permutation."""
+    if kind == "permutation":
+        X = random_network(rng, 5, uniform_measure=True)
+        perm = rng.permutation(5)
+        plan = np.zeros((5, 5))
+        plan[perm, np.arange(5)] = 0.2
+        # a permuted copy, with noise so that the sum is not 0
+        wy = X.weights[np.ix_(perm, perm)] + 0.1 * rng.normal(size=(5, 5))
+        return X.weights, wy, plan
+    X, Y = random_network(rng, 4), random_network(rng, 5)
+    plan = np.array(random_coupling(rng, X.measure, Y.measure).plan)
+    if kind == "sparse":
+        plan[plan < np.quantile(plan, 0.2)] = 0.0
+    return X.weights, Y.weights, plan
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, np.inf])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "permutation"])
+def test_dis_pow_against_quadruple_loops(rng, monkeypatch, kind, p):
+    wx, wy, plan = _plan(rng, kind)
+    assert np.all(plan > 0.0) == (kind == "dense")
+    want = _loop_dis_pow(wx, wy, plan, p)
+    assert want > 0.0
+    assert _kernels.dis_pow(wx, wy, plan, p) == pytest.approx(want, rel=1e-12, abs=0)
+    # one support row per chunk
+    monkeypatch.setattr(_kernels, "SUPPORT_CHUNK_CELLS", 0)
+    assert _kernels.dis_pow(wx, wy, plan, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_dis_pow_permuted_circle_is_zero():
+    # 1000 support cells out of 10^6: the sum visits 10^6 quadruples, not 10^12
+    X = sphere_discretize(1, 1000)
+    perm = np.random.default_rng(5).permutation(X.n)
+    Y = new_network(X.weights[np.ix_(perm, perm)], X.measure[perm])
+    plan = np.zeros((X.n, X.n))
+    plan[perm, np.arange(X.n)] = X.measure[perm]
+    c = Coupling(plan, X.measure, Y.measure)
+    start = time.perf_counter()
+    values = [distortion(X, Y, c, p) for p in (1.0, 2.0, np.inf)]
+    assert time.perf_counter() - start < 1.0
+    assert values == [0.0, 0.0, 0.0]
 
 
 def test_tlb_pow_single_pair_oracle():

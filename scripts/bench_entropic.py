@@ -22,29 +22,17 @@ whole run takes a few minutes on a 2-core machine.
     PYTHONPATH=src python3 scripts/bench_entropic.py [--out BENCH_entropic.json]
 """
 
-import os
+import json
+import sys
 
-# one BLAS thread, set before numpy loads, as in bench_tlb and perfbench
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _bench  # first: it pins BLAS to one thread before numpy loads
+import numpy as np
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from netgw import gw  # noqa: E402
-from netgw.core import Coupling, distortion, product_coupling  # noqa: E402
-from netgw.errors import (  # noqa: E402
-    KernelUnderflowError,
-    MaxItersExceededError,
-    RangeTooWideError,
-)
-from netgw.generators import normalize_max_abs, sample_collection  # noqa: E402
-from netgw.ot import SinkhornConfig  # noqa: E402
+from netgw import gw
+from netgw.core import Coupling, _Dis2, distortion, product_coupling
+from netgw.errors import KernelUnderflowError, MaxItersExceededError, RangeTooWideError
+from netgw.generators import normalize_max_abs, sample_collection
+from netgw.ot import SinkhornConfig
 
 LAM = 100.0
 SEEDS = (0, 2)
@@ -55,14 +43,13 @@ LONGEST_PERIOD = 100
 
 def reference_entropic_gw(X, Y, config, outer_iters=OUTER_ITERS, plan_tol=PLAN_TOL):
     """Every plan the loop without the cycle check visits (plans[0] the
-    product coupling), and its outcome: converged, budget or inner_error."""
-    wx, wy = X.weights, Y.weights
-    ex = (wx**2) @ X.measure
-    ey = (wy**2) @ Y.measure
+    product coupling), and its outcome: converged, budget or inner_error.
+    Each step linearizes by the package's own gw._linearized_cost."""
+    dis2 = _Dis2(X, Y)
     plans = [product_coupling(X.measure, Y.measure).plan]
     for _ in range(outer_iters):
         plan = plans[-1]
-        cost = ex[:, None] + ey[None, :] - 2.0 * (wx @ plan @ wy.T)
+        cost = gw._linearized_cost(dis2, plan)
         try:
             new_plan = gw.sinkhorn_log(cost, config, X.measure, Y.measure).plan.plan
         except MaxItersExceededError as err:
@@ -112,15 +99,9 @@ def differing(X, Y, res, plans, ref_outcome):
     return out
 
 
-def _seconds(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
-
-
 def pair_row(name, X, Y, config):
-    (plans, ref_outcome), ref_s = _seconds(reference_entropic_gw, X, Y, config)
-    res, new_s = _seconds(gw.entropic_gw, X, Y, config)
+    (plans, ref_outcome), ref_s = _bench.seconds(reference_entropic_gw, X, Y, config)
+    res, new_s = _bench.seconds(gw.entropic_gw, X, Y, config)
     return {
         "pair": name,
         "reference": {
@@ -172,9 +153,7 @@ def failing(report):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_entropic.json")
-    args = parser.parse_args(argv)
+    args = _bench.parser(__doc__, "BENCH_entropic.json").parse_args(argv)
 
     draws = []
     for seed in SEEDS:
@@ -188,18 +167,10 @@ def main(argv=None):
         "outer_iters": OUTER_ITERS,
         "plan_tol": PLAN_TOL,
         "draws": draws,
-        "machine": {
-            "cpus": os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
     }
     bad = failing(report)
     report["agree"] = not bad
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _bench.write_report(args.out, report)
     summary = {f"seed{d['seed']}": {k: d[k] for k in ("reference_s", "change_s", "outcomes")}
                for d in draws}
     print(json.dumps({"agree": not bad, "failing": [r["pair"] for r in bad], **summary}))

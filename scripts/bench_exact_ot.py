@@ -38,13 +38,10 @@ excess or a dual shortfall is above 1e-12, or a plan entry is negative.
     PYTHONPATH=src python3 scripts/bench_exact_ot.py [--out BENCH_exact_ot.json]
 """
 
-import argparse
 import json
-import os
-import platform
 import sys
-import time
 
+import _bench  # first: it pins BLAS to one thread before numpy loads
 import numpy as np
 import scipy
 
@@ -148,19 +145,17 @@ def new_row():
 
 
 def measure(rows, key, cost, mu, nu):
-    t0 = time.perf_counter()
-    coupling, objective, lp = recorded_exact_ot(cost, mu, nu)
-    t1 = time.perf_counter()
-    reference = dense_lp(cost, mu, nu).objective
-    t2 = time.perf_counter()
+    (coupling, objective, lp), exact_ot_s = _bench.seconds(recorded_exact_ot, cost, mu, nu)
+    dense, dense_s = _bench.seconds(dense_lp, cost, mu, nu)
+    reference = dense.objective
     floor = abs(reference) if reference else 1.0
     gap = abs(objective - reference) / floor
     plan = coupling.plan
     error = float(max(np.abs(plan.sum(1) - mu).max(), np.abs(plan.sum(0) - nu).max()))
     for row in (rows.setdefault(key, new_row()), rows["total"]):
         row["transports"] += 1
-        row["exact_ot_s"] += t1 - t0
-        row["dense_s"] += t2 - t1
+        row["exact_ot_s"] += exact_ot_s
+        row["dense_s"] += dense_s
         row["worst_rel_gap"] = max(row["worst_rel_gap"], gap)
         row["worst_marginal_error"] = max(row["worst_marginal_error"], error)
         row["min_plan_entry"] = min(row["min_plan_entry"], float(coupling.plan.min()))
@@ -175,9 +170,7 @@ def measure(rows, key, cost, mu, nu):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_exact_ot.json")
-    args = parser.parse_args(argv)
+    args = _bench.parser(__doc__, "BENCH_exact_ot.json").parse_args(argv)
 
     rows = {"total": new_row()}
     sources = (collection_transports(), network_transports(), sphere_transports(),
@@ -194,9 +187,7 @@ def main(argv=None):
     total["speedup"] = total["dense_s"] / total["exact_ot_s"]
 
     X, Y = sphere_discretize(1, 1000), sphere_discretize(2, 1000)
-    t0 = time.perf_counter()
-    rtlb_max(X, Y, 2.0)
-    rtlb_max_s = time.perf_counter() - t0
+    _, rtlb_max_s = _bench.seconds(rtlb_max, X, Y, 2.0)
 
     ok = (
         total["worst_rel_gap"] <= LIMIT
@@ -211,17 +202,8 @@ def main(argv=None):
         "total": total,
         "rtlb_max_1000x990_s": rtlb_max_s,
         "shapes": dict(sorted(rows.items())),
-        "machine": {
-            "cpus": os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _bench.write_report(args.out, report, scipy)
     print(json.dumps({**total, "rtlb_max_1000x990_s": rtlb_max_s}))
     return 0 if ok else 1
 

@@ -17,15 +17,12 @@ not decide the exit code.
     PYTHONPATH=src python3 scripts/bench_io.py [--out BENCH_io.json] [--repeats 5]
 """
 
-import argparse
 import json
-import os
-import platform
 import statistics
 import sys
-import time
 import tracemalloc
 
+import _bench  # first: it pins BLAS to one thread before numpy loads
 import numpy as np
 import orjson
 
@@ -78,9 +75,7 @@ def io_row(name, X, repeats):
     times = {"old": [], "new": []}
     for _ in range(repeats):
         for kind, fn in (("old", old_text), ("new", core._network_json)):
-            t0 = time.perf_counter()
-            fn(X)
-            times[kind].append(time.perf_counter() - t0)
+            times[kind].append(_bench.seconds(fn, X)[1])
     row = {"network": name, "nodes": X.n, "differing": differing(old, new)}
     for kind, text, fn in (("old", old, old_text), ("new", new, core._network_json)):
         row[f"{kind}_bytes"] = len(text.encode("utf-8"))
@@ -106,8 +101,7 @@ def failing(rows):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_io.json")
+    parser = _bench.parser(__doc__, "BENCH_io.json")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
@@ -120,17 +114,8 @@ def main(argv=None):
         "repeats": args.repeats,
         "rows": rows,
         "bit_identical": not bad,
-        "machine": {
-            "cpus": os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "orjson": orjson.__version__,
-        },
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _bench.write_report(args.out, report, orjson)
     print(json.dumps({"bit_identical": not bad, "failing": [row["network"] for row in bad]}))
     return 1 if bad else 0
 

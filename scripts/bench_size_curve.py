@@ -16,13 +16,10 @@ and exits 1 if any gap exceeds 1e-12.
     PYTHONPATH=src python3 scripts/bench_size_curve.py [--out BENCH_size_curve.json]
 """
 
-import argparse
 import json
-import os
-import platform
 import sys
-import time
 
+import _bench  # first: it pins BLAS to one thread before numpy loads
 import numpy as np
 
 from netgw.generators import cycle_network
@@ -43,9 +40,7 @@ def masked_curve(X, p, kind, grid):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_size_curve.json")
-    args = parser.parse_args(argv)
+    args = _bench.parser(__doc__, "BENCH_size_curve.json").parse_args(argv)
 
     networks = {
         "cycle 500": cycle_network(np.arange(500.0)),
@@ -55,17 +50,14 @@ def main(argv=None):
     for name, X in networks.items():
         for kind in ("sublevel", "superlevel"):
             for p in (1.0, 2.0):
-                t0 = time.perf_counter()
-                curve = size_curve(X, p, kind=kind, samples=SAMPLES)
-                t1 = time.perf_counter()
-                reference = masked_curve(X, p, kind, curve.grid)
-                t2 = time.perf_counter()
+                curve, binned_s = _bench.seconds(size_curve, X, p, kind=kind, samples=SAMPLES)
+                reference, masked_s = _bench.seconds(masked_curve, X, p, kind, curve.grid)
                 gap = float(np.abs(curve.values - reference).max()) / size_p(X, p)
                 worst = max(worst, gap)
                 rows[f"{name} {kind} p={p:g}"] = {
-                    "binned_s": t1 - t0,
-                    "masked_s": t2 - t1,
-                    "speedup": (t2 - t1) / (t1 - t0),
+                    "binned_s": binned_s,
+                    "masked_s": masked_s,
+                    "speedup": masked_s / binned_s,
                     "rel_gap": gap,
                 }
 
@@ -80,16 +72,8 @@ def main(argv=None):
             "masked_s": sum(row["masked_s"] for row in rows.values()),
         },
         "curves": rows,
-        "machine": {
-            "cpus": os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _bench.write_report(args.out, report)
     print(json.dumps({"worst_rel_gap": worst, **report["total"]}))
     return 0 if agree else 1
 

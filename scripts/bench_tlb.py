@@ -29,27 +29,19 @@ run takes a few minutes on a 2-core machine.
     PYTHONPATH=src python3 scripts/bench_tlb.py [--out BENCH_tlb.json]
 """
 
-import os
+import json
+import sys
+import time
 
-# one BLAS thread, set before numpy loads, so the timings hold no thread
-# start-up (the first p = 2 products of a process took 10 times longer)
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _bench  # first: it pins BLAS to one thread before numpy loads
+import numpy as np
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from netgw import _kernels  # noqa: E402
-from netgw.analysis import dissimilarity_matrix  # noqa: E402
-from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc, rflb  # noqa: E402
-from netgw.core import new_network  # noqa: E402
-from netgw.generators import sample_collection  # noqa: E402
-from netgw.invariants import sphere_discretize  # noqa: E402
+from netgw import _kernels
+from netgw.analysis import dissimilarity_matrix
+from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc, rflb
+from netgw.core import new_network
+from netgw.generators import sample_collection
+from netgw.invariants import sphere_discretize
 
 KERNEL_TOL = 1e-11
 SWEEP_TOL = 1e-12
@@ -69,24 +61,18 @@ def random_network(rng, n):
     return new_network(rng.uniform(-10.0, 10.0, size=(n, n)), measure / measure.sum())
 
 
-def _seconds(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
-
-
 def kernel_row(X, Y, p, sample=None):
     """tlb_pow against the one-grid kernel on rows `sample` of X (all if None)."""
     qx, cx = _local_quantiles(X, "out")
     qy, cy = _local_quantiles(Y, "out")
     grid, seg = _kernels.merged_grid(cx, cy)
-    blocked, blocked_s = _seconds(_kernels.tlb_pow, qx, cx, qy, cy, p)
+    blocked, blocked_s = _bench.seconds(_kernels.tlb_pow, qx, cx, qy, cy, p)
     rows = np.arange(X.n) if sample is None else np.asarray(sample)
     args = (qx[rows], cx[rows], qy, cy, grid, seg)
     if p == 2.0:
-        one, one_s = _seconds(_kernels._expanded, *args)
+        one, one_s = _bench.seconds(_kernels._expanded, *args)
     else:
-        one, one_s = _seconds(_kernels._direct, *args, p)
+        one, one_s = _bench.seconds(_kernels._direct, *args, p)
     width = cx.shape[1] + cy.shape[1]
     return {
         "grid": int(grid.size),
@@ -121,16 +107,16 @@ def kernel_summary(name, p, pairs, sample=None):
 def _stacked_one_direction(summaries, p):
     # one direction of the stacked call, tiled by the rule and as one block
     _rows, atoms, cum = _stacked_ecc(summaries, p, "out")
-    _, tiled_s = _seconds(_kernels.quantile_pow, atoms, cum, atoms, cum, p)
+    _, tiled_s = _bench.seconds(_kernels.quantile_pow, atoms, cum, atoms, cum, p)
     grid, seg = _kernels.merged_grid(cum, cum)
-    _, one_s = _seconds(_kernels._direct, atoms, cum, atoms, cum, grid, seg, p)
+    _, one_s = _bench.seconds(_kernels._direct, atoms, cum, atoms, cum, grid, seg, p)
     return tiled_s, one_s, grid.size / (2 * cum.shape[1])
 
 
 def sweep_row(name, nets, p):
     """The rflb sweep matrix against max(rflb out, rflb in) per pair."""
     k = len(nets)
-    (matrix, failures), sweep_s = _seconds(dissimilarity_matrix, nets, "rflb", p)
+    (matrix, failures), sweep_s = _bench.seconds(dissimilarity_matrix, nets, "rflb", p)
     summaries = [NetworkSummary(X) for X in nets]
     for X in summaries:  # the per-pair route gets its pushforwards for free
         X.ecc(p, "out"), X.ecc(p, "in")
@@ -188,9 +174,7 @@ def failing(report):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_tlb.json")
-    args = parser.parse_args(argv)
+    args = _bench.parser(__doc__, "BENCH_tlb.json").parse_args(argv)
 
     kernel = []
     for name, pairs, sample in kernel_instances():
@@ -207,18 +191,10 @@ def main(argv=None):
         "sweep_tol": SWEEP_TOL,
         "kernel": kernel,
         "sweep": sweep,
-        "machine": {
-            "cpus": os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
     }
     bad = failing(report)
     report["within_tolerance"] = not bad
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _bench.write_report(args.out, report)
     print(json.dumps({"within_tolerance": not bad, "failing": bad}))
     return 1 if bad else 0
 

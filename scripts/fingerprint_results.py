@@ -46,8 +46,8 @@ from netgw.analysis import dissimilarity_matrix, single_linkage
 from netgw.bounds import rtlb_max
 from netgw.core import Coupling, distortion, new_network, product_coupling
 from netgw.generators import normalize_max_abs, sample_collection
-from netgw.gw import _round_to_marginals, entropic_gw, gw_bruteforce
-from netgw.ot import SinkhornConfig, sinkhorn, sinkhorn_log
+from netgw.gw import entropic_gw, gw_bruteforce
+from netgw.ot import SinkhornConfig, _round_to_marginals, sinkhorn, sinkhorn_log
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 ENTROPIC_PAIRS = ((0, 1), (2, 6), (4, 8))

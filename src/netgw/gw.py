@@ -23,7 +23,7 @@ from .errors import (
     RangeTooWideError,
 )
 # _round_to_marginals is not called here, but perfbench's gw.round span patches
-# netgw.gw._round_to_marginals and scripts/fingerprint_results.py imports it from here
+# netgw.gw._round_to_marginals
 from .ot import SinkhornConfig, _round_to_marginals, sinkhorn_log  # noqa: F401
 
 BRUTEFORCE_CELL_LIMIT = 9

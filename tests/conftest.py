@@ -76,8 +76,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.fixture
 def scripts_path(monkeypatch):
-    """scripts/ on sys.path; the BLAS thread variables that bench_summaries,
-    bench_tlb and others set on import stay out of the suite's environment."""
+    """scripts/ on sys.path; the BLAS thread variables that scripts/_bench.py
+    sets on import stay out of the suite's environment."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     with mock.patch.dict(os.environ):
         yield

@@ -1,10 +1,14 @@
-"""The scripts under scripts/ import, the gates of bench_exact_ot,
-bench_tlb, bench_io and bench_entropic hold on tiny inputs, and the two
-result gates run end to end."""
+"""The scripts under scripts/ import, the bench scripts load their
+harness before numpy, the gates of bench_exact_ot, bench_tlb, bench_io
+and bench_entropic hold on tiny inputs, and the two result gates run end
+to end."""
 
+import ast
 import dataclasses
 import importlib
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -15,10 +19,29 @@ from netgw.ot import SinkhornConfig
 from conftest import SCRIPTS
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("[!_]*.py")))
 def test_script_imports(scripts_path, name):
     module = importlib.import_module(name)
     assert callable(module.main)
+
+
+def test_bench_scripts_pin_blas_before_numpy(scripts_path, monkeypatch):
+    """_bench is each bench script's first import outside the standard
+    library, so numpy loads after it, and it sets the BLAS thread variables."""
+    for path in SCRIPTS.glob("bench_*.py"):
+        roots = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                roots += [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots.append(node.module.split(".")[0])
+        outside = [root for root in roots if root not in sys.stdlib_module_names]
+        assert outside[0] == "_bench" and "numpy" in outside, path.name
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.setenv(var, "4")
+    importlib.reload(importlib.import_module("_bench"))
+    assert [os.environ[var] for var in blas] == ["1", "1", "1"]
 
 
 def test_bench_exact_ot_gate_on_small_costs(scripts_path):
@@ -140,3 +163,15 @@ def test_bench_entropic_gate_on_small_pairs(scripts_path):
     assert bench.differing(X, Y, shifted, plans, outcome) == ["plan"]
     row["differing"] = ["plan"]
     assert bench.failing({"draws": [{"rows": [row]}]}) == [row]
+
+
+def test_bench_entropic_reference_linearizes_by_the_package(scripts_path, monkeypatch):
+    """The reference's step cost is gw._linearized_cost: made zero, every
+    step returns the product coupling it started from."""
+    bench = importlib.import_module("bench_entropic")
+    monkeypatch.setattr(bench.gw, "_linearized_cost",
+                        lambda dis2, plan: np.zeros((dis2.ex.size, dis2.ey.size)))
+    rng = np.random.default_rng(21)
+    X, Y = (new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n)) for n in (4, 6))
+    plans, outcome = bench.reference_entropic_gw(X, Y, SinkhornConfig(lam=20.0))
+    assert outcome == "converged" and len(plans) - 1 == 1

@@ -122,8 +122,16 @@ def _gather_inputs(paths):
 
 def cmd_compare(args):
     files = _gather_inputs(args.inputs)
-    networks = [_load_any(p) for p in files]
     labels = [p.stem for p in files]
+    for label in labels:
+        # dissimilarity.csv holds the labels on one line, split at commas,
+        # and load_dissimilarity_csv breaks lines where splitlines() does
+        if "," in label or "".join(label.splitlines()) != label:
+            raise NetgwError(
+                f"file stem {label!r} holds a comma or a line break, so it cannot "
+                "label a row of dissimilarity.csv; rename the file"
+            )
+    networks = [_load_any(p) for p in files]
     config = SinkhornConfig(lam=args.lam) if args.method == "entropic_gw" else None
     matrix, failures = dissimilarity_matrix(
         networks,

@@ -8,6 +8,7 @@ far it is from being a weight-preserving map.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,24 +308,109 @@ def network_to_json(X: MeasureNetwork) -> str:
     return _network_json(X).decode("utf-8")
 
 
-def network_from_json(text: str) -> MeasureNetwork:
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
+
+
+def _skip(text, i):
+    return _SPACE.match(text, i).end()
+
+
+def _past(text, i, char):
+    """The index past `char` at text[i] and the whitespace after it."""
+    if text[i:i + 1] != char:
+        raise ParseError(f"invalid JSON: expecting {char!r} at char {i}")
+    return _skip(text, i + 1)
+
+
+def _weight_rows(text, i):
+    """The weights array whose JSON text starts at text[i], and the index past it.
+
+    A row of numbers holds no ']', so each row's text runs from its '['
+    to the next ']' and is one orjson call, made a float64 row at once:
+    the n² Python floats of the whole matrix never exist together.
+    orjson rejects NaN, Infinity and literals that overflow a double.
+    """
+    rows = []
+    if text[i:i + 1] != "[":
+        raise ParseError("weights must be a non-empty 2-D array of numbers")
+    i = _skip(text, i + 1)
+    while True:
+        if text[i:i + 1] != "[":
+            raise ParseError("weights must be a non-empty 2-D array of numbers")
+        end = text.find("]", i) + 1
+        if not end:
+            raise ParseError(f"weights row {len(rows)} has no closing ']'")
+        try:
+            rows.append(np.array(orjson.loads(text[i:end]), dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"weights row {len(rows)} is not an array of numbers: {exc}") from exc
+        i = _skip(text, end)
+        if text[i:i + 1] != ",":
+            break
+        i = _skip(text, i + 1)
     try:
-        doc = json.loads(text)
+        weights = np.stack(rows)
+    except ValueError as exc:
+        raise ParseError(f"weights rows differ in length: {exc}") from exc
+    return weights, _past(text, i, "]")
+
+
+def _network_fields(text):
+    """The members of a network document's top-level object, the last of
+    each key; the weights as a float64 array, the rest as stdlib json
+    decodes them."""
+    if text.startswith("\ufeff"):
+        raise ParseError("network JSON starts with a byte order mark")
+    i = _skip(text, 0)
+    if text[i:i + 1] != "{":
+        raise ParseError("network JSON must be an object with 'weights'")
+    i = _skip(text, i + 1)
+    doc = {}
+    more = text[i:i + 1] != "}"
+    try:
+        while more:
+            if text[i:i + 1] != '"':
+                raise ParseError(f"invalid JSON: expecting a property name at char {i}")
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _past(text, _skip(text, i), ":")
+            if key == "weights":
+                doc[key], i = _weight_rows(text, i)
+            else:
+                doc[key], i = _DECODER.raw_decode(text, i)
+            i = _skip(text, i)
+            more = text[i:i + 1] == ","
+            if more:
+                i = _skip(text, i + 1)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "weights" not in doc:
+    if _past(text, i, "}") != len(text):
+        raise ParseError("invalid JSON: extra data after the network object")
+    return doc
+
+
+def network_from_json(text: str) -> MeasureNetwork:
+    """The network in a JSON document {"weights": [[...]], "measure": [...],
+    "labels": [...]}; measure and labels are optional.
+
+    The weights are parsed one row at a time (see _weight_rows), so the
+    reader never holds a Python list of all n² entries.  Any malformed
+    document raises ParseError.
+    """
+    doc = _network_fields(text)
+    if "weights" not in doc:
         raise ParseError("network JSON must be an object with 'weights'")
-    try:
-        weights = np.array(doc["weights"], dtype=np.float64)
-        measure = doc.get("measure")
-        if measure is not None:
-            measure = np.array(measure, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"weights and measure must be numeric arrays: {exc}") from exc
-    if weights.ndim != 2 or weights.size == 0:
+    weights = doc["weights"]
+    if weights.size == 0:
         raise ParseError(f"weights must be a non-empty 2-D array, got shape {weights.shape}")
-    if measure is not None and measure.ndim != 1:
-        raise ParseError(f"measure must be a 1-D array, got shape {measure.shape}")
+    measure = doc.get("measure")
+    if measure is not None:
+        try:
+            measure = np.array(measure, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"measure must be a numeric array: {exc}") from exc
+        if measure.ndim != 1:
+            raise ParseError(f"measure must be a 1-D array, got shape {measure.shape}")
     if not isinstance(doc.get("labels"), (list, type(None))):
         raise ParseError("labels must be a list or null")
     if measure is None:

@@ -265,6 +265,15 @@ def test_compare_rejects_bad_csv(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb", "a\u2028b", "a\n"])
+def test_compare_rejects_a_stem_the_matrix_cannot_label(point_dir, tmp_path, capsys, stem):
+    save_network(one_point_network(2.0), point_dir / f"{stem}.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", str(point_dir), "--method", "szlb", "--out", str(out)]) == 2
+    assert repr(stem) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_empty_directory(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -551,9 +551,99 @@ def test_network_json_errors():
         '{"weights": [[1]], "labels": "a"}',
         '{"weights": [[1]], "measure": 5}',
         '{"weights": [[0, 1], [1, 0]], "measure": [[0.5, 0.5]]}',
+        # unterminated rows, rows of rows, trailing data
+        '{"weights": [[0, 1], [1, 0',
+        '{"weights": [[0, 1], [1, 0]',
+        '{"weights": [[0, 1], [1, 0]], "labels": ["a", "b"]',
+        '{"weights": [[[0]]]}',
+        '{"weights": [[[0, 1]], [[1, 0]]]}',
+        '{"weights": [[0, [1]], [1, 0]]}',
+        '{"weights": [[0]]} x',
+        '{"weights": [[0]]}{}',
+        # JSON syntax around the rows
+        '{"weights": [[0],]}',
+        '{"weights": [[0] [1]]}',
+        '{"weights": [0, [1]]}',
+        '{"weights": [[0, 1], 2]}',
+        '{"weights": [["]"]]}',
+        '{"weights": [[0]],}',
+        '{"weights" [[0]]}',
+        "{'weights': [[0]]}",
     ):
         with pytest.raises(ParseError):
             network_from_json(text)
+    with pytest.raises(ParseError, match="byte order mark"):
+        network_from_json('\ufeff{"weights": [[0]]}')
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_network_json_nonfinite_weights_are_parse_errors(literal):
+    # stdlib json reads the first four as nan or inf, orjson not at all:
+    # before the row-wise reader they failed later, as NonSquareWeightsError,
+    # and the integer escaped as an OverflowError
+    with pytest.raises(ParseError):
+        network_from_json(f'{{"weights": [[0, {literal}], [1, 0]]}}')
+
+
+def _stdlib_network(text):
+    """The network stdlib json reads from text: the reference for the reader."""
+    doc = json.loads(text)
+    weights = np.array(doc["weights"], dtype=np.float64)
+    measure = doc.get("measure", np.full(len(weights), 1.0 / len(weights)))
+    return new_network(weights, measure, doc.get("labels"))
+
+
+def _assert_same_bits(X, Y):
+    assert X.weights.tobytes() == Y.weights.tobytes()
+    assert X.measure.tobytes() == Y.measure.tobytes()
+    assert X.labels == Y.labels
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"labels": ["a", "b"], "measure": [0.25, 0.75], "weights": [[0, 1], [2, 3]]}',
+        '{"measure": [0.25, 0.75], "weights": [[0, 1], [2, 3]], "labels": null}',
+        # the last of each key wins, as in stdlib json
+        '{"weights": [[5]], "labels": ["x"], "weights": [[0, 1], [2, 3]], "labels": ["a", "b"]}',
+        '{"measure": [1.0], "weights": [[0, -0.0], [2e-3, 3E+2]], "measure": [0.5, 0.5]}',
+        '{"meta": {"weights": [[1]]}, "weights": [[0, 1], [2, 3]], "labels": [[], {"]": 1}]}',
+        # whitespace everywhere JSON allows it
+        ' \t\r\n{ "weights" :\n[ [ 0 ,1.5 ] ,\n\t[\r\n-2 , 4\n]\n] , "labels" : [ "a" ,"b" ] }\n ',
+        json.dumps({"weights": [[0.1, 2.0], [3.0, 1e-300]], "measure": [0.4, 0.6]}, indent=2),
+        json.dumps({"weights": [[0.1, 2.0], [3.0, 1e-300]], "labels": ["x", "y"]}, indent="\t"),
+        # labels that look like the rows around them
+        json.dumps(
+            {"labels": ["]", "[[", '"weights": [[1]]', 'a\\"b"]'], "weights": np.eye(4).tolist()}
+        ),
+        '{"labels": ["\\"weights\\": [[", "]\\u005d\\""], "weights": [[0, 1], [1, 0]]}',
+    ],
+)
+def test_network_json_reads_as_stdlib_json(text):
+    _assert_same_bits(network_from_json(text), _stdlib_network(text))
+
+
+@st.composite
+def network_docs(draw):
+    n = draw(st.integers(1, 4))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**80), 2**80)
+    )
+    row = st.lists(number, min_size=n, max_size=n)
+    doc = {"weights": draw(st.lists(row, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        masses = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        doc["measure"] = (masses / masses.sum()).tolist()
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    return {key: doc[key] for key in draw(st.permutations(list(doc)))}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=network_docs(), indent=st.sampled_from([None, 0, 1, 2, 4]), ascii=st.booleans())
+def test_network_json_property_any_spelling_reads_as_stdlib_json(doc, indent, ascii):
+    text = json.dumps(doc, indent=indent, ensure_ascii=ascii)
+    _assert_same_bits(network_from_json(text), _stdlib_network(text))
 
 
 def test_network_to_json_is_loadable(fig2_triple):

@@ -130,6 +130,26 @@ def test_bench_io_gate_on_small_networks(scripts_path):
     assert bench.failing(rows) == rows[:1]
 
 
+def test_bench_io_read_gate_on_small_networks(scripts_path, tmp_path):
+    """Both readers give the same bits on a labelled network, written and
+    re-spelled with indent=2, and each read's memory comes from a fresh
+    process; the gate catches a changed weight."""
+    bench = importlib.import_module("bench_io")
+    rng = np.random.default_rng(6)
+    X = new_network(rng.normal(size=(3, 3)) * 1e-300, np.full(3, 1 / 3), ["]", "[[", 'a"b'])
+    for name, text in bench.texts([("plain", X), ("sphere2-400", X)]):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        row = bench.read_row(name, text, path, 1)
+        assert row["differing"] == []
+        assert row["new_peak_rss_mb"] > 0.0 and row["old_peak_rss_mb"] > 0.0
+    assert row["network"] == "sphere2-400-indent2" and "\n  " in text
+    first = text.index('"weights"')
+    planted = text[:first] + text[first:].replace("e-30", "e-20", 1)
+    assert bench.changed(bench.old_read(text), X) == []
+    assert bench.changed(bench.core.network_from_json(planted), X) == ["weights"]
+
+
 def test_bench_entropic_gate_on_small_pairs(scripts_path):
     """A converged, a cycle-stopped and a budget-stopped pair agree with the
     reference loop; the gate catches a planted flag, value or plan change."""

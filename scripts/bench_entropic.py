@@ -11,7 +11,8 @@ inner solver on many outer iterations).
 
 Per pair, each side records its outcome (converged, cycle, budget or
 inner_error), outer iterations and seconds; the change also records the
-period it found, and the reference the smallest period L >= 2 with its
+period it found and its Sinkhorn iterations (GwResult.inner_iterations),
+and the reference the smallest period L >= 2 with its
 last plan within plan_tol of the plan L steps back (0 if none up to 100).
 The script exits 1 if a pair's converged flag differs, if a converged
 pair differs in iterations, plan bytes or value, or if the plan of a run
@@ -114,6 +115,7 @@ def pair_row(name, X, Y, config):
             "outcome": outcome(res),
             "iterations": res.iterations,
             "period": res.cycle,
+            "inner_iterations": res.inner_iterations,
             "seconds": new_s,
         },
         "differing": differing(X, Y, res, plans, ref_outcome),
@@ -139,6 +141,7 @@ def draw_summary(seed, rows):
         "change_s": sum(r["change"]["seconds"] for r in rows),
         "reference_iterations": sum(r["reference"]["iterations"] for r in rows),
         "change_iterations": sum(r["change"]["iterations"] for r in rows),
+        "change_inner_iterations": sum(r["change"]["inner_iterations"] for r in rows),
         "outcomes": {
             side: {o: sum(r[side]["outcome"] == o for r in rows)
                    for o in sorted({r[side]["outcome"] for r in rows})}

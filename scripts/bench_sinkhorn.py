@@ -1,0 +1,263 @@
+"""Time the Sinkhorn loop against its per-iteration form on entropic_gw's inner solves; check they agree.
+
+``ot._scaling``, the loop behind ``sinkhorn`` and ``sinkhorn_log``,
+runs its iterations in batches and tests for absorption and for its
+stop once per batch.  The reference here is the same loop testing after
+every iteration, the form it had before.  The script records every cost
+matrix that ``gw.entropic_gw`` hands to ``sinkhorn_log`` at lam 100 on
+every pair of the max-abs normalized table1 draws per_class 1, seeds 0
+(the table1-entropic benchmark's draw) and 2 (whose c5 pairs stall the
+inner solver), then solves each one with the reference and with the
+package.
+
+Per pair it reports the solves, their iterations and
+``GwResult.inner_iterations``; per draw and cost shape, the solves,
+iterations, seconds and microseconds per iteration of each side, and
+the package's batch size there.  The script exits 1 if a solve differs
+in any SinkhornResult field (plan bytes included), in its outcome or in
+its error message, or if a pair's inner_iterations is not the total of
+its solves' iterations.  The timings go to the JSON file; they do not
+decide the exit code.  The whole run takes about a minute on a 2-core
+machine.
+
+    PYTHONPATH=src python3 scripts/bench_sinkhorn.py [--out BENCH_sinkhorn.json]
+"""
+
+import json
+import sys
+
+import _bench  # first: it pins BLAS to one thread before numpy loads
+import numpy as np
+
+from netgw import gw, ot
+from netgw.core import Coupling
+from netgw.errors import (
+    KernelUnderflowError,
+    MaxItersExceededError,
+    NetgwError,
+    RangeTooWideError,
+)
+from netgw.generators import normalize_max_abs, sample_collection
+
+LAM = 100.0
+SEEDS = (0, 2)
+
+
+def reference_sinkhorn_log(cost, cfg, mu, nu):
+    """ot.sinkhorn_log with the Sinkhorn loop testing after every iteration."""
+    cost, mu, nu = ot._checked(cost, mu, nu)
+    alpha, beta = float(cost.min()), float(cost.max())
+    half_range = cfg.lam * (beta - alpha) / 2.0
+    if half_range > ot.LOG_RANGE_LIMIT:
+        raise RangeTooWideError(
+            f"exponent half-range {half_range:.3g} exceeds "
+            f"{ot.LOG_RANGE_LIMIT:.6g}; no translation keeps the kernel "
+            "representable"
+        )
+    return reference_scaling(cost, cfg, mu, nu, (alpha + beta) / 4.0, cfg.absorb_threshold)
+
+
+def reference_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
+    """ot._scaling before its tests ran once per batch."""
+    u = np.zeros(mu.size)
+    v = np.zeros(nu.size)
+    K = ot._kernel(cost, cfg.lam, u, v, gamma)
+    kernel_min = float(K.min())
+    kernel_max = float(K.max())
+    if not (kernel_min >= ot.TINY_NORMAL and kernel_max < np.inf):
+        raise KernelUnderflowError(
+            "kernel entries must be finite and >= the smallest positive "
+            f"normal value, entries span [{kernel_min!r}, {kernel_max!r}]"
+        )
+    kta = K.T @ np.ones(mu.size)
+    absorptions = 0
+    for it in range(1, cfg.max_iters + 1):
+        b = nu / kta
+        a = mu / (K @ b)
+        if max(float(a.max()), float(b.max())) > absorb_threshold:
+            u = u + np.log(a) / cfg.lam
+            v = v + np.log(b) / cfg.lam
+            K = ot._kernel(cost, cfg.lam, u, v, gamma)
+            if not np.all(np.isfinite(K)):
+                raise KernelUnderflowError(
+                    "absorbed kernel overflowed; lower lam or raise "
+                    "absorb_threshold"
+                )
+            K = np.maximum(K, ot.TINY_NORMAL)
+            a = np.ones(mu.size)
+            b = np.ones(nu.size)
+            absorptions += 1
+            kernel_min = min(kernel_min, float(K.min()))
+            kernel_max = max(kernel_max, float(K.max()))
+        kta = K.T @ a
+        err = float(np.abs(b * kta - nu).max())
+        if err <= cfg.tolerance or not np.isfinite(err):
+            break
+    plan = a[:, None] * K * b[None, :]
+    usable = np.all(np.isfinite(plan)) and float(plan.sum()) > 0.0
+    result = ot.SinkhornResult(
+        plan=Coupling(ot._round_to_marginals(plan, mu, nu), mu, nu) if usable else None,
+        iterations=it,
+        marginal_error=err,
+        absorptions=absorptions,
+        kernel_min=kernel_min,
+        kernel_max=kernel_max,
+        converged=err <= cfg.tolerance,
+    )
+    if result.converged:
+        return result
+    raise MaxItersExceededError(
+        f"marginal error {err!r} after {it} iterations "
+        f"(tolerance {cfg.tolerance})",
+        partial=result,
+    )
+
+
+def outcome(solver, cost, cfg, mu, nu):
+    """(kind, result, message) of one solve: kind is 'converged',
+    'stalled' (result the partial) or the error's class name."""
+    try:
+        return "converged", solver(cost, cfg, mu, nu), None
+    except MaxItersExceededError as err:
+        return "stalled", err.partial, str(err)
+    except NetgwError as err:
+        return type(err).__name__, None, str(err)
+
+
+def fields(kind, res, message):
+    """What two solves must share: the outcome, the message and every
+    SinkhornResult field, floats by their bits and type, the plan by its bytes."""
+    if res is None:
+        return kind, message
+    plan = None if res.plan is None else res.plan.plan.tobytes()
+    floats = (res.marginal_error, res.kernel_min, res.kernel_max)
+    return (kind, message, plan, res.iterations, res.absorptions, res.converged,
+            [(type(x), np.float64(x).tobytes()) for x in floats])
+
+
+def solve_row(cost, cfg, mu, nu):
+    """One recorded solve by both sides: shape, iterations, seconds, agreement."""
+    ref, ref_s = _bench.seconds(outcome, reference_sinkhorn_log, cost, cfg, mu, nu)
+    new, new_s = _bench.seconds(outcome, ot.sinkhorn_log, cost, cfg, mu, nu)
+    return {
+        "shape": f"{cost.shape[0]}x{cost.shape[1]}",
+        "iterations": 0 if ref[1] is None else ref[1].iterations,
+        "reference_s": ref_s,
+        "package_s": new_s,
+        "same": fields(*ref) == fields(*new),
+    }
+
+
+def recorded_costs(X, Y, config):
+    """entropic_gw's result on (X, Y) and every cost its inner solves got."""
+    costs = []
+    solve = gw.sinkhorn_log
+
+    def record(cost, cfg, mu, nu):
+        costs.append(cost)
+        return solve(cost, cfg, mu, nu)
+
+    gw.sinkhorn_log = record
+    try:
+        res = gw.entropic_gw(X, Y, config)
+    finally:
+        gw.sinkhorn_log = solve
+    return res, costs
+
+
+def add_shapes(total, shapes):
+    """Add per-shape solves, iterations and seconds into total."""
+    for shape, row in shapes.items():
+        into = total.setdefault(shape, dict.fromkeys(row, 0))
+        for key, value in row.items():
+            into[key] += value
+
+
+def pair_row(name, X, Y, config):
+    res, costs = recorded_costs(X, Y, config)
+    solves = [solve_row(cost, config, X.measure, Y.measure) for cost in costs]
+    shapes = {}
+    for solve in solves:
+        add_shapes(shapes, {solve["shape"]: {
+            "solves": 1, **{k: solve[k] for k in ("iterations", "reference_s", "package_s")}}})
+    iterations = sum(solve["iterations"] for solve in solves)
+    differing = [f"solve {k}" for k, solve in enumerate(solves) if not solve["same"]]
+    if res.inner_iterations != iterations:
+        differing.append("inner_iterations")
+    return {
+        "pair": name,
+        "solves": len(solves),
+        "iterations": iterations,
+        "inner_iterations": res.inner_iterations,
+        "shapes": shapes,
+        "differing": differing,
+    }
+
+
+def per_iteration(shapes):
+    """The per-shape totals with microseconds per iteration and the batch size."""
+    out = {}
+    for shape, row in sorted(shapes.items()):
+        m, n = map(int, shape.split("x"))
+        iters = max(row["iterations"], 1)
+        out[shape] = {
+            **row,
+            "batch": ot._batch_size(m, n),
+            "reference_us_per_iteration": 1e6 * row["reference_s"] / iters,
+            "package_us_per_iteration": 1e6 * row["package_s"] / iters,
+        }
+    return out
+
+
+def draw_summary(seed, rows):
+    shapes = {}
+    for row in rows:
+        add_shapes(shapes, row["shapes"])
+    return {
+        "preset": "table1",
+        "per_class": 1,
+        "seed": seed,
+        "pairs": len(rows),
+        "solves": sum(row["solves"] for row in rows),
+        "iterations": sum(row["iterations"] for row in rows),
+        "inner_iterations": sum(row["inner_iterations"] for row in rows),
+        "shapes": per_iteration(shapes),
+        "rows": rows,
+    }
+
+
+def failing(report):
+    return [row for draw in report["draws"] for row in draw["rows"] if row["differing"]]
+
+
+def main(argv=None):
+    args = _bench.parser(__doc__, "BENCH_sinkhorn.json").parse_args(argv)
+
+    draws = []
+    config = ot.SinkhornConfig(lam=LAM)
+    for seed in SEEDS:
+        nets, _, labels = sample_collection("table1", 1, seed)
+        nets = [normalize_max_abs(net) for net in nets]
+        rows = []
+        for i in range(len(nets)):
+            for j in range(i + 1, len(nets)):
+                row = pair_row(f"{labels[i]}-{labels[j]}", nets[i], nets[j], config)
+                rows.append(row)
+                print(json.dumps({k: row[k] for k in ("pair", "solves", "iterations",
+                                                       "differing")}), file=sys.stderr)
+        draws.append(draw_summary(seed, rows))
+    report = {"lam": LAM, "batch": ot.SINKHORN_BATCH,
+              "batch_cells": ot.SINKHORN_BATCH_CELLS, "draws": draws}
+    bad = failing(report)
+    report["agree"] = not bad
+    _bench.write_report(args.out, report)
+    summary = {f"seed{d['seed']}": {k: {shape: round(row[k], 2) for shape, row in d["shapes"].items()}
+                                     for k in ("reference_us_per_iteration",
+                                               "package_us_per_iteration")}
+               for d in draws}
+    print(json.dumps({"agree": not bad, "failing": [r["pair"] for r in bad], **summary}))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -362,13 +362,16 @@ def ingest_matrix_csv(path) -> MeasureNetwork:
 
 
 def load_dissimilarity_csv(path) -> DissimilarityMatrix:
-    """Read a matrix written by emit_outputs (labels live in a comment)."""
+    """Read a matrix written by emit_outputs (labels live in a comment).
+
+    The labels are the text after "labels:" and the one space the writer
+    puts there, split on commas only, so spaces around a label survive.
+    """
     lines = read_text(path).splitlines()
     labels = None
     for raw in lines:
-        stripped = raw.strip()
-        if stripped.startswith("#") and "labels:" in stripped:
-            labels = [s.strip() for s in stripped.split("labels:", 1)[1].split(",")]
+        if raw.strip().startswith("#") and "labels:" in raw:
+            labels = raw.split("labels:", 1)[1].removeprefix(" ").split(",")
     D = _parse_numeric_rows(lines, path)
     if D.shape[0] != D.shape[1]:
         raise NonSquareError(f"{path}: matrix must be square, got {D.shape}")

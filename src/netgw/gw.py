@@ -47,7 +47,8 @@ class GwResult:
     last usable iterate.  cycle is the orbit's period when the cycle
     check stopped the run, and 0 otherwise.  inner_stalls counts inner
     solves that ran out of iterations and were continued from their
-    partial plan.
+    partial plan; inner_iterations totals the Sinkhorn iterations of every
+    inner solve, stalled ones included.
     """
 
     coupling: Coupling
@@ -57,6 +58,7 @@ class GwResult:
     inner_error: str | None = None
     inner_stalls: int = 0
     cycle: int = 0
+    inner_iterations: int = 0
 
 
 def _linearized_cost(dis2, plan):
@@ -113,16 +115,20 @@ def entropic_gw(
     converged = False
     inner_error = None
     inner_stalls = 0
+    inner_iterations = 0
     iterations = 0
     cycle = 0
     anchor, lag, power = plan, 0, 1
     for iterations in range(1, outer_iters + 1):
         cost = _linearized_cost(dis2, plan)
         try:
-            new_plan = sinkhorn_log(cost, config, X.measure, Y.measure).plan.plan
+            inner = sinkhorn_log(cost, config, X.measure, Y.measure)
+            inner_iterations += inner.iterations
+            new_plan = inner.plan.plan
         except MaxItersExceededError as err:
             # a stalled inner solve still carries a usable plan, already
             # rounded onto the marginals; keep alternating from it
+            inner_iterations += err.partial.iterations
             if err.partial.plan is None:
                 inner_error = "inner solver diverged"
                 break
@@ -154,6 +160,7 @@ def entropic_gw(
         inner_error=inner_error,
         inner_stalls=inner_stalls,
         cycle=cycle,
+        inner_iterations=inner_iterations,
     )
 
 

@@ -626,6 +626,13 @@ def test_matrix_roundtrip_is_bit_exact(tmp_path, rng):
     assert back.labels == m.labels
 
 
+def test_matrix_roundtrip_keeps_spaces_around_labels(tmp_path):
+    labels = (" a", "b ", "  c  d ", "")
+    m = DissimilarityMatrix(labels=labels, D=np.ones((4, 4)) - np.eye(4))
+    emit_outputs(tmp_path, matrix=m)
+    assert load_dissimilarity_csv(tmp_path / "dissimilarity.csv").labels == labels
+
+
 def test_emit_tree_and_merges(tmp_path):
     tree = single_linkage(_chain_matrix())
     emit_outputs(tmp_path, tree=tree)

@@ -418,6 +418,20 @@ def test_cluster_pipeline(point_dir, tmp_path):
     assert len(merges) == 3  # two merges for three leaves
 
 
+def test_cluster_keeps_spaces_around_stems(tmp_path):
+    # a stem's leading or trailing space survives the CSV between the two
+    # steps; the Newick writer then spells each space as an underscore
+    nets = tmp_path / "nets"
+    nets.mkdir()
+    for name, a in ((" p0", 0.0), ("p1 ", 1.0)):
+        save_network(one_point_network(a), nets / f"{name}.json")
+    cmp_out, cl_out = tmp_path / "cmp", tmp_path / "cl"
+    assert main(["compare", str(nets), "--method", "szlb", "--out", str(cmp_out)]) == 0
+    assert load_dissimilarity_csv(cmp_out / "dissimilarity.csv").labels == (" p0", "p1 ")
+    assert main(["cluster", str(cmp_out / "dissimilarity.csv"), "--out", str(cl_out)]) == 0
+    assert (cl_out / "dendrogram.newick").read_text() == "(_p0:1,p1_:1);\n"
+
+
 def test_cluster_rejects_bad_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1\n1,0\n0,0\n")  # not square

@@ -138,6 +138,38 @@ def test_entropic_gw_survives_inner_stalls(rng):
     assert np.abs(plan.sum(axis=1) - X.measure).max() <= 1e-12
 
 
+@pytest.mark.parametrize("max_iters", [3, 10000])
+def test_entropic_gw_counts_inner_iterations(rng, monkeypatch, max_iters):
+    # inner_iterations totals every inner solve's iterations, the stalled
+    # partials included (at max_iters 3 every solve stalls)
+    X = random_network(rng, 4, low=-1.0, high=1.0)
+    Y = random_network(rng, 5, low=-1.0, high=1.0)
+    seen = []
+    solve = gw.sinkhorn_log
+
+    def counted(*args):
+        try:
+            res = solve(*args)
+        except MaxItersExceededError as err:
+            seen.append(err.partial.iterations)
+            raise
+        seen.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(gw, "sinkhorn_log", counted)
+    res = entropic_gw(X, Y, SinkhornConfig(lam=15.0, max_iters=max_iters), outer_iters=30)
+    assert len(seen) == res.iterations
+    assert res.inner_iterations == sum(seen) > 0
+    assert (res.inner_stalls == res.iterations) == (max_iters == 3)
+
+
+def test_gw_result_defaults_inner_iterations_to_zero():
+    X = one_point_network(0.0)
+    res = gw.GwResult(coupling=product_coupling(X.measure, X.measure), value=0.0,
+                      iterations=1, converged=True)
+    assert res.inner_iterations == 0
+
+
 def test_entropic_gw_reports_range_failure():
     # asymmetric weights so the linearized cost is non-constant; at lam=200
     # its exponent range blows past what the log kernel can represent
@@ -166,6 +198,7 @@ def test_entropic_gw_reports_diverged_inner_solve(monkeypatch):
     assert not res.converged
     assert res.iterations == 1
     assert res.inner_error == "inner solver diverged"
+    assert res.inner_iterations == 3
     npt.assert_array_equal(res.coupling.plan, product_coupling(X.measure, Y.measure).plan)
 
 

@@ -8,7 +8,7 @@ from scipy.optimize import OptimizeResult, linprog
 
 from netgw import ot
 from netgw.bounds import _tlb_pow_matrix
-from netgw.core import DiscreteDistribution, product_coupling
+from netgw.core import Coupling, DiscreteDistribution, product_coupling
 from netgw.errors import (
     DomainError,
     InfeasibleError,
@@ -579,12 +579,14 @@ def _full_check_sinkhorn(cost, cfg, mu, nu, plain):
 
 
 def _outcome(fn):
+    """(kind, result, message) of one solve: kind is 'converged',
+    'stalled' (result the partial) or the error's class name."""
     try:
-        return "converged", fn()
+        return "converged", fn(), None
     except MaxItersExceededError as err:
-        return "stalled", err.partial
+        return "stalled", err.partial, str(err)
     except NetgwError as err:
-        return type(err).__name__, None
+        return type(err).__name__, None, str(err)
 
 
 def test_sinkhorn_column_check_matches_full_check():
@@ -613,8 +615,8 @@ def test_sinkhorn_column_check_matches_full_check():
         )
         for plain, solver in ((True, sinkhorn), (False, sinkhorn_log)):
             with np.errstate(all="ignore"):
-                kind, res = _outcome(lambda: solver(cost, cfg, mu, nu))
-                ref_kind, ref = _outcome(lambda: _full_check_sinkhorn(cost, cfg, mu, nu, plain))
+                kind, res, _ = _outcome(lambda: solver(cost, cfg, mu, nu))
+                ref_kind, ref, _ = _outcome(lambda: _full_check_sinkhorn(cost, cfg, mu, nu, plain))
             if ref_kind != "converged":
                 assert kind == ref_kind
                 seen[kind] += 1
@@ -635,3 +637,179 @@ def test_sinkhorn_column_check_matches_full_check():
     for kind in ("converged", "stalled", "stalled absorbed", "diverged",
                  "KernelUnderflowError", "RangeTooWideError"):
         assert seen[kind] > 0, kind
+
+
+def _per_iteration_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
+    """ot._scaling as it was before its checks ran once per batch: every
+    test after every iteration.  Kept verbatim as the reference."""
+    _kernel = ot._kernel
+    u = np.zeros(mu.size)
+    v = np.zeros(nu.size)
+    K = _kernel(cost, cfg.lam, u, v, gamma)
+    kernel_min = float(K.min())
+    kernel_max = float(K.max())
+    if not (kernel_min >= TINY_NORMAL and kernel_max < np.inf):
+        raise KernelUnderflowError(
+            "kernel entries must be finite and >= the smallest positive "
+            f"normal value, entries span [{kernel_min!r}, {kernel_max!r}]"
+        )
+    kta = K.T @ np.ones(mu.size)
+    absorptions = 0
+    for it in range(1, cfg.max_iters + 1):
+        b = nu / kta
+        a = mu / (K @ b)
+        if max(float(a.max()), float(b.max())) > absorb_threshold:
+            u = u + np.log(a) / cfg.lam
+            v = v + np.log(b) / cfg.lam
+            K = _kernel(cost, cfg.lam, u, v, gamma)
+            if not np.all(np.isfinite(K)):
+                raise KernelUnderflowError(
+                    "absorbed kernel overflowed; lower lam or raise "
+                    "absorb_threshold"
+                )
+            K = np.maximum(K, TINY_NORMAL)
+            a = np.ones(mu.size)
+            b = np.ones(nu.size)
+            absorptions += 1
+            kernel_min = min(kernel_min, float(K.min()))
+            kernel_max = max(kernel_max, float(K.max()))
+        kta = K.T @ a
+        err = float(np.abs(b * kta - nu).max())
+        if err <= cfg.tolerance or not np.isfinite(err):
+            break
+    plan = a[:, None] * K * b[None, :]
+    usable = np.all(np.isfinite(plan)) and float(plan.sum()) > 0.0
+    result = ot.SinkhornResult(
+        plan=Coupling(_round_to_marginals(plan, mu, nu), mu, nu) if usable else None,
+        iterations=it,
+        marginal_error=err,
+        absorptions=absorptions,
+        kernel_min=kernel_min,
+        kernel_max=kernel_max,
+        converged=err <= cfg.tolerance,
+    )
+    if result.converged:
+        return result
+    raise MaxItersExceededError(
+        f"marginal error {err!r} after {it} iterations "
+        f"(tolerance {cfg.tolerance})",
+        partial=result,
+    )
+
+
+def _fields(res):
+    """Every SinkhornResult field, floats by their bits and type, the plan by its bytes."""
+    if res is None:
+        return None
+    plan = None if res.plan is None else res.plan.plan.tobytes()
+    floats = (res.marginal_error, res.kernel_min, res.kernel_max)
+    return (plan, res.iterations, res.absorptions, res.converged,
+            [(type(x), np.float64(x).tobytes()) for x in floats])
+
+
+def _matches_reference(cost, cfg, mu, nu, plain=False):
+    """Run sinkhorn (plain) or sinkhorn_log and the per-iteration reference
+    on the same instance; assert that they agree bit for bit and return the
+    reference's (kind, result, message)."""
+    cost, mu, nu = ot._checked(cost, mu, nu)
+    gamma = 0.0 if plain else (float(cost.min()) + float(cost.max())) / 4.0
+    threshold = np.inf if plain else cfg.absorb_threshold
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: (sinkhorn if plain else sinkhorn_log)(cost, cfg, mu, nu))
+        want = _outcome(lambda: _per_iteration_scaling(cost, cfg, mu, nu, gamma, threshold))
+    assert got[0] == want[0] and got[2] == want[2]
+    assert _fields(got[1]) == _fields(want[1])
+    return want
+
+
+def _absorbed_at(cost, cfg, mu, nu):
+    """The iterations at which the reference absorbs, from its partials
+    at every budget up to cfg.max_iters."""
+    counts = [0]
+    for k in range(1, cfg.max_iters + 1):
+        short = replace(cfg, max_iters=k, tolerance=1e-300)
+        _, res, _ = _matches_reference(cost, short, mu, nu)
+        counts.append(res.absorptions)
+    return [k for k in range(1, len(counts)) if counts[k] > counts[k - 1]]
+
+
+def test_batched_checks_match_the_per_iteration_loop():
+    """The loop that tests once per batch stops, absorbs and fails where
+    the loop testing every iteration does, with the same results bit for
+    bit: stops at iteration 1, mid-batch and on batch boundaries, budgets
+    below and off the batch, absorptions mid-batch, two in one batch and
+    one at a batch's first row, non-finite errors, the plain kernel, and
+    a cost large enough for batches of one iteration."""
+    batch = ot.SINKHORN_BATCH
+    assert ot._batch_size(5, 6) == batch > 2
+    rng = np.random.default_rng(1)
+    cost = rng.random((5, 6))
+    mu, nu = np.full(5, 1 / 5), np.full(6, 1 / 6)
+
+    # the zero cost stops at iteration 1
+    for plain in (False, True):
+        kind, res, _ = _matches_reference(np.zeros((5, 6)), SinkhornConfig(lam=3.0), mu, nu, plain)
+        assert (kind, res.iterations) == ("converged", 1)
+
+    # a tolerance equal to the error at iteration t stops there
+    for plain in (False, True):
+        for t in (1, batch // 2 + 1, batch, batch + 1, 2 * batch):
+            budget = SinkhornConfig(lam=20.0, max_iters=t, tolerance=1e-300)
+            _, partial, _ = _matches_reference(cost, budget, mu, nu, plain)
+            cfg = SinkhornConfig(lam=20.0, tolerance=partial.marginal_error)
+            kind, res, _ = _matches_reference(cost, cfg, mu, nu, plain)
+            assert (kind, res.iterations) == ("converged", t)
+
+    # budgets below the batch and off its multiples
+    for plain in (False, True):
+        for max_iters in (1, 5, batch - 1, batch + 1, 2 * batch + 13):
+            cfg = SinkhornConfig(lam=20.0, max_iters=max_iters, tolerance=1e-300)
+            kind, res, message = _matches_reference(cost, cfg, mu, nu, plain)
+            assert (kind, res.iterations) == ("stalled", max_iters)
+            assert message.endswith(f"after {max_iters} iterations (tolerance 1e-300)")
+
+    # absorptions: one mid-batch, two in one batch, one on a batch's last
+    # row (iteration 32 with batches of 32), and one on its first row
+    # followed by more; each checked at every budget up to 40 iterations
+    # and run to its stop
+    absorbing = {
+        (50.0, 1e3): [19],
+        (20.0, 5.0): [2, 9],
+        (50.0, 1e4): [32],
+        (100.0, 10.0): [1, 6, 11, 16, 24, 37],
+    }
+    for (lam, threshold), at in absorbing.items():
+        cfg = SinkhornConfig(lam=lam, max_iters=40, absorb_threshold=threshold)
+        assert _absorbed_at(cost, cfg, mu, nu) == at
+        kind, res, _ = _matches_reference(cost, replace(cfg, max_iters=10000), mu, nu)
+        assert kind == "converged" and res.absorptions >= len(at)
+
+    # a non-finite error stops the loop: at iteration 1 on a kernel spanning
+    # 1e-300 to 1e299, and mid-batch on a random signed cost
+    kind, res, _ = _matches_reference(
+        [[690.0, 690.0], [-690.0, -690.0]], SinkhornConfig(lam=1.0), [0.5, 0.5], [0.5, 0.5],
+        plain=True)
+    assert (kind, res.iterations, res.plan) == ("stalled", 1, None)
+    assert not np.isfinite(res.marginal_error)
+    draws = np.random.default_rng(0)
+    breaks = []
+    for _ in range(40):
+        m, n = draws.integers(2, 8, size=2)
+        signed = draws.uniform(-700.0, 700.0, (m, n))
+        kind, res, _ = _matches_reference(signed, SinkhornConfig(lam=1.0),
+                                          *_random_marginals(draws, m, n), plain=True)
+        if kind == "stalled" and not np.isfinite(res.marginal_error):
+            breaks.append(res.iterations)
+    assert any(1 < it < batch for it in breaks)
+
+    # batches of one iteration on a large cost
+    big = np.random.default_rng(3).random((400, 401))
+    mu_big, nu_big = _random_marginals(np.random.default_rng(4), 400, 401)
+    assert ot._batch_size(400, 401) == 1
+    for plain in (False, True):
+        for cfg in (SinkhornConfig(lam=5.0, tolerance=1e-6),
+                    SinkhornConfig(lam=50.0, max_iters=3)):
+            _matches_reference(big, cfg, mu_big, nu_big, plain)
+    cfg = SinkhornConfig(lam=50.0, absorb_threshold=2.0)
+    kind, res, _ = _matches_reference(big, cfg, mu_big, nu_big)
+    assert kind == "converged" and res.absorptions >= 1

@@ -195,3 +195,45 @@ def test_bench_entropic_reference_linearizes_by_the_package(scripts_path, monkey
     X, Y = (new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n)) for n in (4, 6))
     plans, outcome = bench.reference_entropic_gw(X, Y, SinkhornConfig(lam=20.0))
     assert outcome == "converged" and len(plans) - 1 == 1
+
+
+def test_bench_sinkhorn_gate_on_small_pairs(scripts_path, monkeypatch):
+    """Every inner solve of a few small pairs agrees with the per-iteration
+    loop bit for bit and the pairs' inner_iterations add up; the gate
+    catches a planted change in a solve and in the count."""
+    bench = importlib.import_module("bench_sinkhorn")
+    rng = np.random.default_rng(21)
+    config = SinkhornConfig(lam=20.0)
+    pairs = [tuple(new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n))
+                   for n in rng.integers(2, 7, size=2)) for _ in range(4)]
+    rows = [bench.pair_row("pair", X, Y, config) for X, Y in pairs]
+    draw = bench.draw_summary(0, rows)
+    assert bench.failing({"draws": [draw]}) == []
+    assert draw["iterations"] == draw["inner_iterations"] > draw["solves"] > 0
+    assert sum(row["solves"] for row in draw["shapes"].values()) == draw["solves"]
+
+    # a plan one ulp off, or one more iteration, is a difference
+    X, Y = pairs[0]
+    cost = rng.random((X.n, Y.n))
+    ref = bench.outcome(bench.reference_sinkhorn_log, cost, config, X.measure, Y.measure)
+    assert bench.fields(*ref) == bench.fields(
+        *bench.outcome(bench.ot.sinkhorn_log, cost, config, X.measure, Y.measure))
+    kind, res, message = ref
+    plan = res.plan.plan.copy()
+    plan[0, 0] = np.nextafter(plan[0, 0], 1.0)
+    nudged = dataclasses.replace(res, plan=dataclasses.replace(res.plan, plan=plan))
+    assert bench.fields(kind, nudged, message) != bench.fields(*ref)
+    longer = dataclasses.replace(res, iterations=res.iterations + 1)
+    assert bench.fields(kind, longer, message) != bench.fields(*ref)
+
+    solve, run = bench.ot.sinkhorn_log, bench.gw.entropic_gw
+    with monkeypatch.context() as patch:
+        patch.setattr(bench.ot, "sinkhorn_log", lambda *args: dataclasses.replace(
+            solve(*args), iterations=solve(*args).iterations + 1))
+        assert bench.pair_row("pair", X, Y, config)["differing"][0] == "solve 0"
+    with monkeypatch.context() as patch:
+        patch.setattr(bench.gw, "entropic_gw", lambda *args: dataclasses.replace(
+            run(*args), inner_iterations=0))
+        row = bench.pair_row("pair", X, Y, config)
+        assert row["differing"] == ["inner_iterations"]
+        assert bench.failing({"draws": [bench.draw_summary(0, [row])]}) == [row]

@@ -3,12 +3,14 @@
 ``ot._scaling``, the loop behind ``sinkhorn`` and ``sinkhorn_log``,
 runs its iterations in batches and tests for absorption and for its
 stop once per batch.  The reference here is the same loop testing after
-every iteration, the form it had before.  The script records every cost
-matrix that ``gw.entropic_gw`` hands to ``sinkhorn_log`` at lam 100 on
-every pair of the max-abs normalized table1 draws per_class 1, seeds 0
-(the table1-entropic benchmark's draw) and 2 (whose c5 pairs stall the
-inner solver), then solves each one with the reference and with the
-package.
+every iteration, the form it had before, run by the package's own
+``sinkhorn_log`` (its checks, shift and threshold) in place of
+``ot._scaling``; tests/test_ot.py checks the package against the same
+reference.  The script records every cost matrix that ``gw.entropic_gw``
+hands to ``sinkhorn_log`` at lam 100 on every pair of the max-abs
+normalized table1 draws per_class 1, seeds 0 (the table1-entropic
+benchmark's draw) and 2 (whose c5 pairs stall the inner solver), then
+solves each one with the reference and with the package.
 
 Per pair it reports the solves, their iterations and
 ``GwResult.inner_iterations``; per draw and cost shape, the solves,
@@ -31,34 +33,16 @@ import numpy as np
 
 from netgw import gw, ot
 from netgw.core import Coupling
-from netgw.errors import (
-    KernelUnderflowError,
-    MaxItersExceededError,
-    NetgwError,
-    RangeTooWideError,
-)
+from netgw.errors import KernelUnderflowError, MaxItersExceededError, NetgwError
 from netgw.generators import normalize_max_abs, sample_collection
 
 LAM = 100.0
 SEEDS = (0, 2)
 
 
-def reference_sinkhorn_log(cost, cfg, mu, nu):
-    """ot.sinkhorn_log with the Sinkhorn loop testing after every iteration."""
-    cost, mu, nu = ot._checked(cost, mu, nu)
-    alpha, beta = float(cost.min()), float(cost.max())
-    half_range = cfg.lam * (beta - alpha) / 2.0
-    if half_range > ot.LOG_RANGE_LIMIT:
-        raise RangeTooWideError(
-            f"exponent half-range {half_range:.3g} exceeds "
-            f"{ot.LOG_RANGE_LIMIT:.6g}; no translation keeps the kernel "
-            "representable"
-        )
-    return reference_scaling(cost, cfg, mu, nu, (alpha + beta) / 4.0, cfg.absorb_threshold)
-
-
 def reference_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
-    """ot._scaling before its tests ran once per batch."""
+    """ot._scaling before its tests ran once per batch: every test after
+    every iteration."""
     u = np.zeros(mu.size)
     v = np.zeros(nu.size)
     K = ot._kernel(cost, cfg.lam, u, v, gamma)
@@ -111,6 +95,21 @@ def reference_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
         f"(tolerance {cfg.tolerance})",
         partial=result,
     )
+
+
+def with_loop(solver, loop):
+    """solver (ot.sinkhorn or ot.sinkhorn_log) running loop in place of
+    ot._scaling: the package's checks, gamma and threshold, another loop."""
+    def solve(cost, cfg, mu, nu):
+        scaling, ot._scaling = ot._scaling, loop
+        try:
+            return solver(cost, cfg, mu, nu)
+        finally:
+            ot._scaling = scaling
+    return solve
+
+
+reference_sinkhorn_log = with_loop(ot.sinkhorn_log, reference_scaling)
 
 
 def outcome(solver, cost, cfg, mu, nu):

@@ -30,11 +30,13 @@ SAMPLES = 512
 
 
 def masked_size(X, p, mask):
+    """size_p over the pairs that mask admits: one O(n^2) rescan."""
     outer = np.outer(X.measure, X.measure) * mask
     return float(np.sum(np.abs(X.weights) ** p * outer)) ** (1.0 / p)
 
 
 def masked_curve(X, p, kind, grid):
+    """The size curve of kind on grid, one masked_size per threshold."""
     admits = np.less_equal if kind == "sublevel" else np.greater_equal
     return np.array([masked_size(X, p, admits(X.weights, t)) for t in grid])
 

@@ -31,7 +31,6 @@ run takes a few minutes on a 2-core machine.
 
 import json
 import sys
-import time
 
 import _bench  # first: it pins BLAS to one thread before numpy loads
 import numpy as np
@@ -113,20 +112,26 @@ def _stacked_one_direction(summaries, p):
     return tiled_s, one_s, grid.size / (2 * cum.shape[1])
 
 
+def per_pair_rflb(nets, p):
+    """max(rflb(X, Y, p, "out"), rflb(X, Y, p, "in")) of each pair i < j,
+    at [i, j] of a k x k matrix that is 0 elsewhere."""
+    k = len(nets)
+    want = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            X, Y = nets[i], nets[j]
+            want[i, j] = max(rflb(X, Y, p, "out"), rflb(X, Y, p, "in"))
+    return want
+
+
 def sweep_row(name, nets, p):
-    """The rflb sweep matrix against max(rflb out, rflb in) per pair."""
+    """The rflb sweep matrix against per_pair_rflb."""
     k = len(nets)
     (matrix, failures), sweep_s = _bench.seconds(dissimilarity_matrix, nets, "rflb", p)
     summaries = [NetworkSummary(X) for X in nets]
     for X in summaries:  # the per-pair route gets its pushforwards for free
         X.ecc(p, "out"), X.ecc(p, "in")
-    t0 = time.perf_counter()
-    want = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            X, Y = summaries[i], summaries[j]
-            want[i, j] = max(rflb(X, Y, p, "out"), rflb(X, Y, p, "in"))
-    per_pair_s = time.perf_counter() - t0
+    want, per_pair_s = _bench.seconds(per_pair_rflb, summaries, p)
     tiled_s, one_s, ratio = _stacked_one_direction(summaries, p)
     upper = np.triu_indices(k, 1)
     return {

@@ -12,13 +12,7 @@ import numpy as np
 
 from .bounds import NetworkSummary, rflb, rflb_matrix, rslb, rtlb_max, szlb
 from .core import MeasureNetwork, _check_order, _freeze, new_network, read_text
-from .errors import (
-    DomainError,
-    IoError,
-    NonSquareError,
-    NotConvergedError,
-    ParseError,
-)
+from .errors import DomainError, EncodeError, IoError, NonSquareError, NotConvergedError, ParseError
 from .gw import entropic_gw
 from .ot import SinkhornConfig
 
@@ -384,6 +378,15 @@ def load_dissimilarity_csv(path) -> DissimilarityMatrix:
     return DissimilarityMatrix(labels=tuple(labels), D=D)
 
 
+def check_matrix_labels(labels):
+    """EncodeError naming the first label with a comma or a line break (where
+    str.splitlines breaks): dissimilarity.csv cannot hold it on its labels line."""
+    for label in labels:
+        if "," in label or "".join(label.splitlines()) != label:
+            raise EncodeError(f"label {label!r} holds a comma or a line break, "
+                              "so it cannot label a row of dissimilarity.csv")
+
+
 def emit_outputs(
     out_dir,
     matrix: DissimilarityMatrix | None = None,
@@ -395,6 +398,7 @@ def emit_outputs(
 
     Floats go out as %.17g so a read-back reproduces them bit for bit.
     """
+    check_matrix_labels(matrix.labels if matrix is not None else ())
     out_dir = Path(out_dir)
     written = []
 

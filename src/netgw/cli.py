@@ -14,6 +14,7 @@ import numpy as np
 from .analysis import (
     METHODS,
     _fmt,
+    check_matrix_labels,
     dissimilarity_matrix,
     emit_outputs,
     ingest_matrix_csv,
@@ -82,6 +83,11 @@ def _make_dir(path):
         raise IoError(f"cannot create directory {path}: {err}") from err
 
 
+def _emit(out, file=None, **products):
+    for path in emit_outputs(out, **products):
+        print(f"wrote {path}", file=file)
+
+
 def cmd_generate(args):
     out = Path(args.out)
     if args.cycle is not None:
@@ -123,14 +129,13 @@ def _gather_inputs(paths):
 def cmd_compare(args):
     files = _gather_inputs(args.inputs)
     labels = [p.stem for p in files]
-    for label in labels:
-        # dissimilarity.csv holds the labels on one line, split at commas,
-        # and load_dissimilarity_csv breaks lines where splitlines() does
-        if "," in label or "".join(label.splitlines()) != label:
-            raise NetgwError(
-                f"file stem {label!r} holds a comma or a line break, so it cannot "
-                "label a row of dissimilarity.csv; rename the file"
-            )
+    check_matrix_labels(labels)
+    stems = {}
+    for path in files:
+        other = stems.setdefault(path.stem, path)
+        if other.resolve() != path.resolve():
+            raise NetgwError(f"{other} and {path} share the stem {path.stem!r}, "
+                             "which labels their rows; rename one")
     networks = [_load_any(p) for p in files]
     config = SinkhornConfig(lam=args.lam) if args.method == "entropic_gw" else None
     matrix, failures = dissimilarity_matrix(
@@ -151,9 +156,7 @@ def cmd_compare(args):
             for f in failures
         ],
     }
-    written = emit_outputs(args.out, matrix=matrix, report=report)
-    for path in written:
-        print(f"wrote {path}")
+    _emit(args.out, matrix=matrix, report=report)
     if failures:
         print(
             f"{len(failures)} of {report['n_pairs']} pairs failed; "
@@ -166,10 +169,7 @@ def cmd_compare(args):
 
 def cmd_cluster(args):
     matrix = load_dissimilarity_csv(args.matrix)
-    tree = single_linkage(matrix)
-    written = emit_outputs(args.out, tree=tree)
-    for path in written:
-        print(f"wrote {path}")
+    _emit(args.out, tree=single_linkage(matrix))
     return 0
 
 
@@ -193,9 +193,7 @@ def cmd_invariant(args):
     kind = "sublevel" if args.kind == "subsize" else "superlevel"
     curve = size_curve(net, args.p, kind=kind, samples=args.grid)
     if args.out:
-        written = emit_outputs(args.out, curves={f"{stem}_{kind}": curve})
-        for path in written:
-            print(f"wrote {path}")
+        _emit(args.out, curves={f"{stem}_{kind}": curve})
     else:
         print("t,value")
         for t, v in zip(curve.grid, curve.values):
@@ -209,12 +207,8 @@ def cmd_sphere_bound(args):
     value = interleaving_distance(f, g, tol=args.tol)
     print(_fmt(value))
     if args.out:
-        written = emit_outputs(
-            args.out,
-            curves={f"sphere{args.n1}_p{args.p:g}": f, f"sphere{args.n2}_p{args.p:g}": g},
-        )
-        for path in written:
-            print(f"wrote {path}", file=sys.stderr)
+        curves = {f"sphere{args.n1}_p{args.p:g}": f, f"sphere{args.n2}_p{args.p:g}": g}
+        _emit(args.out, file=sys.stderr, curves=curves)
     return 0
 
 

@@ -348,7 +348,7 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     tolerance or not finite; K^T a is also the next b-update's divisor.
 
     The iterations run in batches of _batch_size(m, n), each writing its
-    a, b, K b and K^T a into one row of preallocated buffers, and the
+    a, b and K^T a into one row of preallocated buffers, and the
     absorption and stop tests run once per batch on every row.  Up to the
     first row that absorbs or stops, each row is the iterate a loop
     testing after every iteration computes, from the same inputs by the
@@ -372,17 +372,17 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
         )
     KT = K.T
     batch = _batch_size(m, n)
-    A, KB = np.empty((batch, m)), np.empty((batch, m))
-    B, KTA = np.empty((batch, n)), np.empty((batch + 1, n))
+    A, B, KTA = np.empty((batch, m)), np.empty((batch, n)), np.empty((batch + 1, n))
+    kb = np.empty(m)
     # row r of each buffer holds iteration r of the batch; it reads
     # K^T a from KTA[r] and writes its own to KTA[r + 1]
-    rows = list(zip(A, KB, B, KTA[:-1], KTA[1:]))
+    rows = list(zip(A, B, KTA[:-1], KTA[1:]))
     np.matmul(KT, np.ones(m), out=KTA[0])
     absorptions = 0
     it = 0
     while True:
         k = min(batch, cfg.max_iters - it)
-        for a, kb, b, kta, kta_next in rows[:k]:
+        for a, b, kta, kta_next in rows[:k]:
             np.divide(nu, kta, out=b)
             np.matmul(K, b, out=kb)
             np.divide(mu, kb, out=a)

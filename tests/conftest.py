@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from netgw.core import Coupling, MeasureNetwork, new_network
+from netgw.core import Coupling, new_network
 from netgw.ot import _round_to_marginals
 
 _ACCEPTANCE = {}
@@ -56,6 +57,21 @@ def random_coupling(rng, mu, nu):
     return Coupling(plan=plan, row_marginal=mu, col_marginal=nu)
 
 
+def loop_dis_pow(wx, wy, plan, p):
+    """The quadruple loop over (i, j, k, l): the sum of |wx[i,k] - wy[j,l]|^p
+    plan[i,j] plan[k,l], or at p = inf the max gap over positive masses."""
+    m, n = plan.shape
+    acc = 0.0
+    for i, j, k, l in itertools.product(range(m), range(n), range(m), range(n)):
+        gap = abs(wx[i, k] - wy[j, l])
+        if np.isinf(p):
+            if plan[i, j] > 0.0 and plan[k, l] > 0.0:
+                acc = max(acc, gap)
+        else:
+            acc += gap**p * plan[i, j] * plan[k, l]
+    return acc
+
+
 @st.composite
 def scaled_network(draw, max_nodes=4, exponents=st.integers(-6, 6)):
     """A network of 1..max_nodes nodes with weights times 10^k, k drawn
@@ -77,7 +93,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.fixture
 def scripts_path(monkeypatch):
     """scripts/ on sys.path; the BLAS thread variables that scripts/_bench.py
-    sets on import stay out of the suite's environment."""
+    sets on import stay out of the suite's environment.
+
+    Each reference route that a bench script times against the package
+    (the per-iteration Sinkhorn loop, the full-support LP, the masked size
+    rescan, the per-pair rflb loop, the entropic outer loop) lives once, in
+    that script; tests import it inside a test that takes this fixture,
+    never at module level.  References that only tests use live here."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     with mock.patch.dict(os.environ):
         yield

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -19,10 +21,11 @@ from netgw.analysis import (
     single_linkage,
     to_newick,
 )
-from netgw.bounds import NetworkSummary, _stacked_ecc, rflb
+from netgw.bounds import NetworkSummary, _stacked_ecc
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
     DomainError,
+    EncodeError,
     IoError,
     MeasureNotNormalizedError,
     NonSquareError,
@@ -276,30 +279,33 @@ def test_pool_size_is_capped_at_pairs_and_cores(monkeypatch, cores, size):
     assert capped.D.tobytes() == serial.D.tobytes()
 
 
-def _per_pair_rflb(nets, p):
-    return {
-        (i, j): max(rflb(nets[i], nets[j], p, "out"), rflb(nets[i], nets[j], p, "in"))
-        for i in range(len(nets))
-        for j in range(i + 1, len(nets))
-    }
+def _sweep_matches_per_pair(nets, p):
+    """The rflb sweep matrix, checked against scripts/bench_tlb.py's
+    per-pair loop; its callers take the scripts_path fixture."""
+    matrix, failures = dissimilarity_matrix(nets, "rflb", p)
+    assert not failures
+    want = importlib.import_module("bench_tlb").per_pair_rflb(nets, p)
+    for i, j in zip(*np.triu_indices(len(nets), 1)):
+        assert matrix.D[i, j] == pytest.approx(want[i, j], rel=1e-12, abs=0.0)
+    return matrix
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(
-    st.lists(scaled_network(exponents=st.integers(-6, 12)), min_size=3, max_size=6),
-    st.sampled_from([1.0, 2.0, 2.5]),
-)
-def test_rflb_sweep_matches_per_pair(nets, p):
+def test_rflb_sweep_matches_per_pair(scripts_path):
     # the stacked sweep integrates on the grid of every network's
     # breakpoints; its terms are nonnegative, so a finer grid moves each
     # value by rounding only
-    matrix, failures = dissimilarity_matrix(nets, "rflb", p)
-    assert not failures
-    for (i, j), want in _per_pair_rflb(nets, p).items():
-        assert matrix.D[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(scaled_network(exponents=st.integers(-6, 12)), min_size=3, max_size=6),
+        st.sampled_from([1.0, 2.0, 2.5]),
+    )
+    def check(nets, p):
+        _sweep_matches_per_pair(nets, p)
+
+    check()
 
 
-def test_rflb_sweep_in_blocks_matches_per_pair():
+def test_rflb_sweep_in_blocks_matches_per_pair(scripts_path):
     # 60 non-uniform networks merge about 45 times the breakpoints of the
     # widest pushforward, so the stacked call is tiled; three are
     # node-permuted copies of others, whose rflb is exactly 0
@@ -313,10 +319,7 @@ def test_rflb_sweep_in_blocks_matches_per_pair():
     grid, _seg = _kernels.merged_grid(cumulative, cumulative)
     assert grid.size > _kernels.ONE_BLOCK_RATIO * 2 * cumulative.shape[1]
     for p in (1.0, 2.0):
-        matrix, failures = dissimilarity_matrix(nets, "rflb", p)
-        assert not failures
-        for (i, j), want in _per_pair_rflb(nets, p).items():
-            assert matrix.D[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+        matrix = _sweep_matches_per_pair(nets, p)
         assert matrix.D[5, 30] == matrix.D[2, 17] == matrix.D[38, 39] == 0.0
 
 
@@ -337,7 +340,7 @@ def test_rflb_sweep_manifest_matches_pair_route():
         assert matrix.D[i, j] == pytest.approx(value, rel=1e-12, nan_ok=True)
 
 
-def test_rflb_sweep_sends_non_finite_entries_to_the_pair_route(monkeypatch):
+def test_rflb_sweep_sends_non_finite_entries_to_the_pair_route(scripts_path, monkeypatch):
     # an entry the stacked call cannot give is computed by rflb itself
     nets = _sweep_inputs(4)[2:] + POINTS
     stacked = analysis.rflb_matrix
@@ -350,7 +353,8 @@ def test_rflb_sweep_sends_non_finite_entries_to_the_pair_route(monkeypatch):
     monkeypatch.setattr(analysis, "rflb_matrix", spoiled)
     matrix, failures = dissimilarity_matrix(nets, "rflb", 2.0)
     assert not failures
-    assert matrix.D[0, 2] == matrix.D[2, 0] == _per_pair_rflb(nets, 2.0)[0, 2]
+    per_pair = importlib.import_module("bench_tlb").per_pair_rflb(nets, 2.0)
+    assert matrix.D[0, 2] == matrix.D[2, 0] == per_pair[0, 2]
 
 
 def test_pool_worker_takes_the_callers_float_errors():
@@ -631,6 +635,17 @@ def test_matrix_roundtrip_keeps_spaces_around_labels(tmp_path):
     m = DissimilarityMatrix(labels=labels, D=np.ones((4, 4)) - np.eye(4))
     emit_outputs(tmp_path, matrix=m)
     assert load_dissimilarity_csv(tmp_path / "dissimilarity.csv").labels == labels
+
+
+@pytest.mark.parametrize("labels", [("a,b", "c"), ("a\nb", "c"), ("x", "y\r")])
+def test_emit_refuses_a_label_the_matrix_cannot_read_back(tmp_path, labels):
+    # a comma splits the labels line; a line break ends it, or is dropped
+    # from the label when it comes last
+    m = DissimilarityMatrix(labels=labels, D=np.ones((2, 2)) - np.eye(2))
+    bad = next(label for label in labels if label not in ("c", "x"))
+    with pytest.raises(EncodeError, match=re.escape(repr(bad))):
+        emit_outputs(tmp_path / "out", matrix=m, report={})
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_tree_and_merges(tmp_path):

@@ -274,6 +274,16 @@ def test_compare_rejects_a_stem_the_matrix_cannot_label(point_dir, tmp_path, cap
     assert not out.exists()
 
 
+def test_compare_rejects_two_files_with_one_stem(point_dir, tmp_path, capsys):
+    # p0.json and p0.csv would both label their rows "p0"
+    (point_dir / "p0.csv").write_text("0\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", str(point_dir), "--method", "szlb", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(point_dir / "p0.json") in err and str(point_dir / "p0.csv") in err
+    assert not out.exists()
+
+
 def test_compare_empty_directory(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netgw import _kernels
@@ -43,7 +43,7 @@ from netgw.invariants import (
 )
 from netgw.ot import SinkhornConfig, exact_ot, wasserstein_1d
 
-from conftest import random_coupling, random_network, scaled_network
+from conftest import loop_dis_pow, random_coupling, random_network, scaled_network
 
 
 # ---------------------------------------------------------------------------
@@ -203,37 +203,8 @@ def test_distortion_matches_quadruple_sum(p):
         assert fast == pytest.approx(slow, abs=1e-10)
 
 
-def test_distortion_four_index_loop_oracle():
-    """Spell the 4-index sum out in loops for one small instance."""
-    rng = np.random.default_rng(3)
-    X = random_network(rng, 3)
-    Y = random_network(rng, 4)
-    c = random_coupling(rng, X.measure, Y.measure)
-    p = 2.0
-    acc = 0.0
-    for i in range(3):
-        for j in range(4):
-            for k in range(3):
-                for l in range(4):
-                    acc += (
-                        abs(X.weights[i, k] - Y.weights[j, l]) ** p
-                        * c.plan[i, j]
-                        * c.plan[k, l]
-                    )
-    assert distortion(X, Y, c, p) == pytest.approx(acc ** (1 / p), abs=1e-12)
-
-
-def _loop_distortion(wx, wy, plan, p):
-    terms = [
-        (abs(wx[i, k] - wy[j, l]), plan[i, j] * plan[k, l])
-        for i in range(wx.shape[0])
-        for j in range(wy.shape[0])
-        for k in range(wx.shape[0])
-        for l in range(wy.shape[0])
-    ]
-    if np.isinf(p):
-        return max(d for d, mass in terms if mass > 0.0)
-    return sum(d**p * mass for d, mass in terms) ** (1.0 / p)
+# draws the 3- and 4-node networks of the example below, in that order
+_EXAMPLE_RNG = np.random.default_rng(3)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -242,8 +213,12 @@ def _loop_distortion(wx, wy, plan, p):
     Y=scaled_network(),
     kind=st.sampled_from(["product", "interior", "vertex"]),
     seed=st.integers(0, 2**32 - 1),
+    bound=st.none(),
 )
-def test_distortion_property_against_loops(X, Y, kind, seed):
+# weights on [-10, 10] under an interior coupling, held to abs=1e-12 alone
+@example(X=random_network(_EXAMPLE_RNG, 3), Y=random_network(_EXAMPLE_RNG, 4),
+         kind="interior", seed=3, bound=dict(abs=1e-12))
+def test_distortion_property_against_loops(X, Y, kind, seed, bound):
     """Every order goes through one route; the p=2 expansion cancels near
     zero, hence the absolute term scaled by the sizes."""
     rng = np.random.default_rng(seed)
@@ -253,10 +228,11 @@ def test_distortion_property_against_loops(X, Y, kind, seed):
         c = random_coupling(rng, X.measure, Y.measure)
     else:
         c, _ = exact_ot(rng.random((X.n, Y.n)), X.measure, Y.measure)
-    tol = 1e-7 * (size_p(X, 2.0) + size_p(Y, 2.0))
+    bound = bound or dict(rel=1e-9, abs=1e-7 * (size_p(X, 2.0) + size_p(Y, 2.0)))
     for p in (1.0, 2.0, 2.5, np.inf):
-        want = _loop_distortion(X.weights, Y.weights, c.plan, p)
-        assert distortion(X, Y, c, p) == pytest.approx(want, rel=1e-9, abs=tol)
+        want = loop_dis_pow(X.weights, Y.weights, c.plan, p)
+        want = want if np.isinf(p) else want ** (1.0 / p)
+        assert distortion(X, Y, c, p) == pytest.approx(want, **bound)
 
 
 def test_distortion_sup_ignores_zero_mass_pairs():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -182,13 +183,6 @@ def test_sub_size_threshold_nan_rejected_inf_saturates(fig2_triple):
     assert sup_size(X, 2.0, -math.inf) == size_p(X, 2.0)
 
 
-def _masked_size(X, p, mask):
-    # one masked O(n^2) rescan per threshold: the route the binned pass
-    # replaced, kept as the reference
-    outer = np.outer(X.measure, X.measure) * mask
-    return float(np.sum(np.abs(X.weights) ** p * outer)) ** (1.0 / p)
-
-
 @st.composite
 def _network_and_thresholds(draw):
     n = draw(st.integers(1, 6))
@@ -206,24 +200,31 @@ def _network_and_thresholds(draw):
     return X, np.array(picks)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(case=_network_and_thresholds())
-def test_level_sizes_match_masked_rescan(case):
-    X, thresholds = case
-    grid = np.unique(thresholds[np.isfinite(thresholds)])
-    for p in (1.0, 2.0, 2.5):
-        tol = 1e-12 * size_p(X, p)
-        for t in thresholds:
-            want = _masked_size(X, p, X.weights <= t)
-            assert abs(sub_size(X, p, t) - want) <= tol
-            want = _masked_size(X, p, X.weights >= t)
-            assert abs(sup_size(X, p, t) - want) <= tol
-        if grid.size < 2:
-            continue
-        for kind, admits in (("sublevel", np.less_equal), ("superlevel", np.greater_equal)):
-            curve = size_curve(X, p, kind=kind, grid=grid)
-            want = [_masked_size(X, p, admits(X.weights, t)) for t in grid]
-            npt.assert_allclose(curve.values, want, rtol=0.0, atol=tol)
+def test_level_sizes_match_masked_rescan(scripts_path):
+    # scripts/bench_size_curve.py keeps the masked O(n^2) rescan per
+    # threshold that the binned pass replaced
+    bench = importlib.import_module("bench_size_curve")
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=_network_and_thresholds())
+    def check(case):
+        X, thresholds = case
+        grid = np.unique(thresholds[np.isfinite(thresholds)])
+        for p in (1.0, 2.0, 2.5):
+            tol = 1e-12 * size_p(X, p)
+            for t in thresholds:
+                want = bench.masked_size(X, p, X.weights <= t)
+                assert abs(sub_size(X, p, t) - want) <= tol
+                want = bench.masked_size(X, p, X.weights >= t)
+                assert abs(sup_size(X, p, t) - want) <= tol
+            if grid.size < 2:
+                continue
+            for kind in ("sublevel", "superlevel"):
+                curve = size_curve(X, p, kind=kind, grid=grid)
+                want = bench.masked_curve(X, p, kind, grid)
+                npt.assert_allclose(curve.values, want, rtol=0.0, atol=tol)
+
+    check()
 
 
 def _circle_subsize(n, grid):

@@ -1,4 +1,3 @@
-import itertools
 import time
 
 import numpy as np
@@ -10,26 +9,11 @@ from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc
 from netgw.core import Coupling, distortion, new_network
 from netgw.invariants import sphere_discretize
 
-from conftest import random_coupling, random_network
+from conftest import loop_dis_pow, random_coupling, random_network
 
 
 # ---------------------------------------------------------------------------
 # python-loop oracles
-
-
-def _loop_dis_pow(wx, wy, plan, p):
-    """The quadruple loop over (i, j, k, l): the sum of |wx[i,k] - wy[j,l]|^p
-    plan[i,j] plan[k,l], or at p = inf the max gap over positive masses."""
-    m, n = plan.shape
-    acc = 0.0
-    for i, j, k, l in itertools.product(range(m), range(n), range(m), range(n)):
-        gap = abs(wx[i, k] - wy[j, l])
-        if np.isinf(p):
-            if plan[i, j] > 0.0 and plan[k, l] > 0.0:
-                acc = max(acc, gap)
-        else:
-            acc += gap**p * plan[i, j] * plan[k, l]
-    return acc
 
 
 def _plan(rng, kind):
@@ -54,7 +38,7 @@ def _plan(rng, kind):
 def test_dis_pow_against_quadruple_loops(rng, monkeypatch, kind, p):
     wx, wy, plan = _plan(rng, kind)
     assert np.all(plan > 0.0) == (kind == "dense")
-    want = _loop_dis_pow(wx, wy, plan, p)
+    want = loop_dis_pow(wx, wy, plan, p)
     assert want > 0.0
     assert _kernels.dis_pow(wx, wy, plan, p) == pytest.approx(want, rel=1e-12, abs=0)
     # one support row per chunk

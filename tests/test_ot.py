@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from dataclasses import replace
 
@@ -8,13 +9,12 @@ from scipy.optimize import OptimizeResult, linprog
 
 from netgw import ot
 from netgw.bounds import _tlb_pow_matrix
-from netgw.core import Coupling, DiscreteDistribution, product_coupling
+from netgw.core import DiscreteDistribution
 from netgw.errors import (
     DomainError,
     InfeasibleError,
     KernelUnderflowError,
     MaxItersExceededError,
-    NetgwError,
     RangeTooWideError,
 )
 from netgw.generators import sample_collection
@@ -214,20 +214,14 @@ def test_exact_ot_lp_route_matches_oracle(monkeypatch, uniform, kind):
     _check_route(_route_cost(rng, kind, mu.size, nu.size), mu, nu)
 
 
-def _full_support_ot(cost, mu, nu):
-    # the same builder with every cell in its start support: the dense LP
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("netgw.ot._START_CELLS", max(np.shape(cost)))
-        return exact_ot(cost, mu, nu)
-
-
 @pytest.mark.parametrize("kind", ["tied", "signed", "tiny", "huge"])
 @pytest.mark.parametrize(
     "shape", [(30, 40), (40, 30), (7, 3), (50, 70)], ids=lambda s: f"{s[0]}x{s[1]}"
 )
-def test_restricted_lp_matches_full_support(shape, kind):
+def test_restricted_lp_matches_full_support(scripts_path, shape, kind):
     """Non-uniform pairs, and uniform sizes that do not divide, reach the
     column-generation LP; it ends at the full-support optimum."""
+    dense_lp = importlib.import_module("bench_exact_ot").dense_lp
     m, n = shape
     rng = np.random.default_rng(7 * m + n)
     if shape in ((7, 3), (50, 70)):
@@ -236,7 +230,7 @@ def test_restricted_lp_matches_full_support(shape, kind):
         mu, nu = _random_marginals(rng, m, n)
     cost = _route_cost(rng, kind, m, n)
     coupling, objective = exact_ot(cost, mu, nu)
-    _, full = _full_support_ot(cost, mu, nu)
+    full = dense_lp(cost, mu, nu).objective
     assert objective == pytest.approx(full, rel=1e-12, abs=0.0)
     _assert_marginals(coupling.plan, mu, nu, 1e-12)
     floor = 1e-12 * float(np.abs(cost).max())
@@ -254,7 +248,7 @@ def test_transport_lp_failure_is_infeasible(monkeypatch):
         exact_ot(np.ones((3, 4)), mu, nu)
 
 
-def test_restricted_lp_prices_cells_outside_the_start_support():
+def test_restricted_lp_prices_cells_outside_the_start_support(scripts_path):
     """Row and column offsets a_i + b_j leave the optimum unchanged but make
     rows 0..7 and columns 0..7 the cheapest cells everywhere; the unique
     optimum sits on the anti-diagonal, mostly outside the start support."""
@@ -266,7 +260,7 @@ def test_restricted_lp_prices_cells_outside_the_start_support():
     cost = offsets[:, None] + offsets[None, :] + 1.0 - np.eye(n)[::-1]
     lp = _transport_lp(cost, mu, nu)
     assert lp.rounds >= 2 and lp.cells < n * n
-    _, full = _full_support_ot(cost, mu, nu)
+    full = importlib.import_module("bench_exact_ot").dense_lp(cost, mu, nu).objective
     _, objective = exact_ot(cost, mu, nu)
     assert lp.objective == pytest.approx(full, rel=1e-12)
     assert objective == pytest.approx(full, rel=1e-12)
@@ -535,20 +529,11 @@ def test_sinkhorn_marginals_within_tolerance(rng):
             assert np.all(plan >= 0.0)
 
 
-def _full_check_sinkhorn(cost, cfg, mu, nu, plain):
+def _full_check_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     """The Sinkhorn loop that forms the plan and both of its marginals at
-    every step: (iterations, absorptions, converged, raw plan, row error,
-    column error)."""
-    if plain:
-        K = np.exp(-cfg.lam * cost)
-        gamma = 0.0
-        cfg = replace(cfg, absorb_threshold=np.inf)
-    else:
-        alpha, beta = cost.min(), cost.max()
-        if cfg.lam * (beta - alpha) / 2.0 > LOG_RANGE_LIMIT:
-            raise RangeTooWideError("exponent half-range too wide")
-        gamma = (alpha + beta) / 4.0
-        K = np.exp(cfg.lam * (-cost + 2.0 * gamma))
+    every step, run in place of ot._scaling: (iterations, absorptions,
+    converged, raw plan, row error, column error)."""
+    K = np.exp(cfg.lam * (-cost + 2.0 * gamma))
     if not (K.min() >= TINY_NORMAL and np.all(np.isfinite(K))):
         raise KernelUnderflowError("kernel out of range")
     u = np.zeros(mu.size)
@@ -559,7 +544,7 @@ def _full_check_sinkhorn(cost, cfg, mu, nu, plain):
     for it in range(1, cfg.max_iters + 1):
         b = nu / (K.T @ a)
         a = mu / (K @ b)
-        if max(float(a.max()), float(b.max())) > cfg.absorb_threshold:
+        if max(float(a.max()), float(b.max())) > absorb_threshold:
             u = u + np.log(a) / cfg.lam
             v = v + np.log(b) / cfg.lam
             K = np.exp(cfg.lam * (-cost + u[:, None] + v[None, :] + 2.0 * gamma))
@@ -578,18 +563,7 @@ def _full_check_sinkhorn(cost, cfg, mu, nu, plain):
     return it, absorptions, err <= cfg.tolerance, plan, row, col
 
 
-def _outcome(fn):
-    """(kind, result, message) of one solve: kind is 'converged',
-    'stalled' (result the partial) or the error's class name."""
-    try:
-        return "converged", fn(), None
-    except MaxItersExceededError as err:
-        return "stalled", err.partial, str(err)
-    except NetgwError as err:
-        return type(err).__name__, None, str(err)
-
-
-def test_sinkhorn_column_check_matches_full_check():
+def test_sinkhorn_column_check_matches_full_check(scripts_path):
     """Checking only the columns stops where checking rows and columns did.
 
     240 random costs (sizes 2-29, scales 1e-6 to 1e6, signed costs, lam
@@ -598,6 +572,7 @@ def test_sinkhorn_column_check_matches_full_check():
     converged flags, exceptions and plan bytes as the loop that forms the
     plan every step.  marginal_error is the column error of the raw
     iterate, whose rows match mu to rounding."""
+    bench = importlib.import_module("bench_sinkhorn")
     rng = np.random.default_rng(2)
     seen = Counter()
     for _ in range(240):
@@ -613,10 +588,11 @@ def test_sinkhorn_column_check_matches_full_check():
             tolerance=float(rng.choice([1e-9, 1e-13])),
             absorb_threshold=float(rng.choice([1e30, 1e6])),
         )
-        for plain, solver in ((True, sinkhorn), (False, sinkhorn_log)):
+        for solver in (sinkhorn, sinkhorn_log):
+            full_check = bench.with_loop(solver, _full_check_scaling)
             with np.errstate(all="ignore"):
-                kind, res, _ = _outcome(lambda: solver(cost, cfg, mu, nu))
-                ref_kind, ref, _ = _outcome(lambda: _full_check_sinkhorn(cost, cfg, mu, nu, plain))
+                kind, res, _ = bench.outcome(solver, cost, cfg, mu, nu)
+                ref_kind, ref, _ = bench.outcome(full_check, cost, cfg, mu, nu)
             if ref_kind != "converged":
                 assert kind == ref_kind
                 seen[kind] += 1
@@ -639,86 +615,17 @@ def test_sinkhorn_column_check_matches_full_check():
         assert seen[kind] > 0, kind
 
 
-def _per_iteration_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
-    """ot._scaling as it was before its checks ran once per batch: every
-    test after every iteration.  Kept verbatim as the reference."""
-    _kernel = ot._kernel
-    u = np.zeros(mu.size)
-    v = np.zeros(nu.size)
-    K = _kernel(cost, cfg.lam, u, v, gamma)
-    kernel_min = float(K.min())
-    kernel_max = float(K.max())
-    if not (kernel_min >= TINY_NORMAL and kernel_max < np.inf):
-        raise KernelUnderflowError(
-            "kernel entries must be finite and >= the smallest positive "
-            f"normal value, entries span [{kernel_min!r}, {kernel_max!r}]"
-        )
-    kta = K.T @ np.ones(mu.size)
-    absorptions = 0
-    for it in range(1, cfg.max_iters + 1):
-        b = nu / kta
-        a = mu / (K @ b)
-        if max(float(a.max()), float(b.max())) > absorb_threshold:
-            u = u + np.log(a) / cfg.lam
-            v = v + np.log(b) / cfg.lam
-            K = _kernel(cost, cfg.lam, u, v, gamma)
-            if not np.all(np.isfinite(K)):
-                raise KernelUnderflowError(
-                    "absorbed kernel overflowed; lower lam or raise "
-                    "absorb_threshold"
-                )
-            K = np.maximum(K, TINY_NORMAL)
-            a = np.ones(mu.size)
-            b = np.ones(nu.size)
-            absorptions += 1
-            kernel_min = min(kernel_min, float(K.min()))
-            kernel_max = max(kernel_max, float(K.max()))
-        kta = K.T @ a
-        err = float(np.abs(b * kta - nu).max())
-        if err <= cfg.tolerance or not np.isfinite(err):
-            break
-    plan = a[:, None] * K * b[None, :]
-    usable = np.all(np.isfinite(plan)) and float(plan.sum()) > 0.0
-    result = ot.SinkhornResult(
-        plan=Coupling(_round_to_marginals(plan, mu, nu), mu, nu) if usable else None,
-        iterations=it,
-        marginal_error=err,
-        absorptions=absorptions,
-        kernel_min=kernel_min,
-        kernel_max=kernel_max,
-        converged=err <= cfg.tolerance,
-    )
-    if result.converged:
-        return result
-    raise MaxItersExceededError(
-        f"marginal error {err!r} after {it} iterations "
-        f"(tolerance {cfg.tolerance})",
-        partial=result,
-    )
-
-
-def _fields(res):
-    """Every SinkhornResult field, floats by their bits and type, the plan by its bytes."""
-    if res is None:
-        return None
-    plan = None if res.plan is None else res.plan.plan.tobytes()
-    floats = (res.marginal_error, res.kernel_min, res.kernel_max)
-    return (plan, res.iterations, res.absorptions, res.converged,
-            [(type(x), np.float64(x).tobytes()) for x in floats])
-
-
 def _matches_reference(cost, cfg, mu, nu, plain=False):
-    """Run sinkhorn (plain) or sinkhorn_log and the per-iteration reference
-    on the same instance; assert that they agree bit for bit and return the
-    reference's (kind, result, message)."""
-    cost, mu, nu = ot._checked(cost, mu, nu)
-    gamma = 0.0 if plain else (float(cost.min()) + float(cost.max())) / 4.0
-    threshold = np.inf if plain else cfg.absorb_threshold
+    """Run sinkhorn (plain) or sinkhorn_log as it is and with the
+    per-iteration loop of scripts/bench_sinkhorn.py in place of _scaling;
+    assert that they agree bit for bit and return the reference's (kind,
+    result, message).  Its callers take the scripts_path fixture."""
+    bench = importlib.import_module("bench_sinkhorn")
+    solver = sinkhorn if plain else sinkhorn_log
     with np.errstate(all="ignore"):
-        got = _outcome(lambda: (sinkhorn if plain else sinkhorn_log)(cost, cfg, mu, nu))
-        want = _outcome(lambda: _per_iteration_scaling(cost, cfg, mu, nu, gamma, threshold))
-    assert got[0] == want[0] and got[2] == want[2]
-    assert _fields(got[1]) == _fields(want[1])
+        got = bench.outcome(solver, cost, cfg, mu, nu)
+        want = bench.outcome(bench.with_loop(solver, bench.reference_scaling), cost, cfg, mu, nu)
+    assert bench.fields(*got) == bench.fields(*want)
     return want
 
 
@@ -733,7 +640,7 @@ def _absorbed_at(cost, cfg, mu, nu):
     return [k for k in range(1, len(counts)) if counts[k] > counts[k - 1]]
 
 
-def test_batched_checks_match_the_per_iteration_loop():
+def test_batched_checks_match_the_per_iteration_loop(scripts_path):
     """The loop that tests once per batch stops, absorbs and fails where
     the loop testing every iteration does, with the same results bit for
     bit: stops at iteration 1, mid-batch and on batch boundaries, budgets

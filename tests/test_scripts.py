@@ -1,7 +1,7 @@
 """The scripts under scripts/ import, the bench scripts load their
-harness before numpy, the gates of bench_exact_ot, bench_tlb, bench_io
-and bench_entropic hold on tiny inputs, and the two result gates run end
-to end."""
+harness before numpy, no test module imports a script at import time,
+the gates of the bench scripts hold on tiny inputs, and the two result
+gates run end to end."""
 
 import ast
 import dataclasses
@@ -42,6 +42,37 @@ def test_bench_scripts_pin_blas_before_numpy(scripts_path, monkeypatch):
         monkeypatch.setenv(var, "4")
     importlib.reload(importlib.import_module("_bench"))
     assert [os.environ[var] for var in blas] == ["1", "1", "1"]
+
+
+def _import_time_nodes(node):
+    """The nodes under node outside function definitions and lambdas: what
+    runs when its module is imported, decorators aside."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_tests_import_scripts_only_through_the_fixture():
+    """_bench sets the BLAS thread variables when imported; a test module
+    importing a script at module level would pass them to every process
+    the suite starts.  Scripts are reached inside tests that take
+    scripts_path, which restores the environment."""
+    scripts = {path.stem for path in SCRIPTS.glob("*.py")}
+    found = []
+    for path in sorted((SCRIPTS.parent / "tests").glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("import_module"):
+                names = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if str(name).split(".")[0] in scripts]
+    assert found == []
 
 
 def test_bench_exact_ot_gate_on_small_costs(scripts_path):

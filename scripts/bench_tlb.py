@@ -3,9 +3,12 @@
 Two checks, each against the route it replaces:
 
 - ``_kernels.tlb_pow``, which tiles the matrix by the block rule of
-  ``_kernels._by_blocks``, against the one-grid kernel: one block on the
-  merged grid of all rows (``_kernels._expanded`` at p = 2,
-  ``_kernels._direct`` otherwise).  Local quantiles, direction 'out', at
+  ``_kernels._by_blocks`` and finds its grid and run ends from each
+  side's Breaks, against the one-grid kernel: one block on the merged
+  grid of all rows (``_kernels._expanded`` at p = 2, ``_kernels._direct``
+  otherwise), with the grid and run ends of ``reference_grid``, which
+  sorts every cumulative mass and searches each in the grid.  Local
+  quantiles, direction 'out', at
   p = 1 and 2, on the criterion-06 and criterion-07 pairs (seeds 606 and
   707), the table1 and table3 pairs (per_class 2, seed 0), the 400x406
   and 1000x990 sphere pairs, and random non-uniform 200x193, 400x393 and
@@ -60,19 +63,39 @@ def random_network(rng, n):
     return new_network(rng.uniform(-10.0, 10.0, size=(n, n)), measure / measure.sum())
 
 
+def reference_grid(cx, cy):
+    """(grid, seg, ends_x, ends_y) of two arrays of cumulative masses, as
+    the kernels found them before Breaks: every entry of both sides sorted
+    (the grid is the distinct values in (0, 1], seg the segments they
+    end), then each entry searched in the grid (ends[i, k] counts the grid
+    points up to cx[i, k])."""
+    points = np.sort(np.concatenate([cx.ravel(), cy.ravel()]))
+    seg = np.diff(np.concatenate([[0.0], points]))
+    keep = seg > 0.0  # a repeated breakpoint (or one at 0) ends an empty segment
+    grid, seg = points[keep], seg[keep]
+    ends_x = np.searchsorted(grid, cx, side="right")
+    ends_y = np.searchsorted(grid, cy, side="right")
+    return grid, seg, ends_x, ends_y
+
+
+def cumulative(b):
+    """The cumulative masses that Breaks b stands for."""
+    return b.points[b.rank]
+
+
 def kernel_row(X, Y, p, sample=None):
     """tlb_pow against the one-grid kernel on rows `sample` of X (all if None)."""
-    qx, cx = _local_quantiles(X, "out")
-    qy, cy = _local_quantiles(Y, "out")
-    grid, seg = _kernels.merged_grid(cx, cy)
-    blocked, blocked_s = _bench.seconds(_kernels.tlb_pow, qx, cx, qy, cy, p)
+    qx, bx = _local_quantiles(X, "out")
+    qy, by = _local_quantiles(Y, "out")
+    grid, seg, ends_x, ends_y = reference_grid(cumulative(bx), cumulative(by))
+    blocked, blocked_s = _bench.seconds(_kernels.tlb_pow, qx, bx, qy, by, p)
     rows = np.arange(X.n) if sample is None else np.asarray(sample)
-    args = (qx[rows], cx[rows], qy, cy, grid, seg)
+    args = (qx[rows], ends_x[rows], qy, ends_y, grid, seg)
     if p == 2.0:
         one, one_s = _bench.seconds(_kernels._expanded, *args)
     else:
         one, one_s = _bench.seconds(_kernels._direct, *args, p)
-    width = cx.shape[1] + cy.shape[1]
+    width = qx.shape[1] + qy.shape[1]
     return {
         "grid": int(grid.size),
         "grid_per_width": grid.size / width,
@@ -106,9 +129,10 @@ def kernel_summary(name, p, pairs, sample=None):
 def _stacked_one_direction(summaries, p):
     # one direction of the stacked call, tiled by the rule and as one block
     _rows, atoms, cum = _stacked_ecc(summaries, p, "out")
-    _, tiled_s = _bench.seconds(_kernels.quantile_pow, atoms, cum, atoms, cum, p)
-    grid, seg = _kernels.merged_grid(cum, cum)
-    _, one_s = _bench.seconds(_kernels._direct, atoms, cum, atoms, cum, grid, seg, p)
+    b = _kernels.breaks(cum)
+    _, tiled_s = _bench.seconds(_kernels.quantile_pow, atoms, b, atoms, b, p)
+    grid, seg, ends, _ = reference_grid(cum, cum)
+    _, one_s = _bench.seconds(_kernels._direct, atoms, ends, atoms, ends, grid, seg, p)
     return tiled_s, one_s, grid.size / (2 * cum.shape[1])
 
 

@@ -4,16 +4,22 @@ dis_pow sums (at p = inf, maximizes) over the pairs of cells in a plan's
 support, the one distortion sum.  Every 1D transport cost is integrated
 here only, on merged breakpoint grids tiled by one block rule
 (_by_blocks): quantile_pow sums |Fi^-1 - Gj^-1|^p directly, tlb_pow
-expands the square at p = 2.  Their callers:
+expands the square at p = 2.  Both take each side's cumulative masses as
+Breaks, their distinct values and the rank of each entry among them, so
+a pair's grid is the union of two short sorted arrays and each run end is
+a gather.  Their callers:
 
 - bounds.tlb_cost and bounds.rtlb call tlb_pow on two networks' local
-  quantiles;
-- bounds.rflb_matrix, the rflb of a sweep over more than two networks,
-  calls quantile_pow once per direction on every network's stacked
-  eccentricity pushforward;
+  quantiles, whose Breaks a NetworkSummary keeps per direction (a bare
+  network builds them for the call);
+- bounds.rflb_matrices, the rflb of a sweep over more than two networks
+  and of an rtlb_max sweep, calls quantile_pow once per direction on
+  every network's stacked eccentricity pushforward;
 - ot.wasserstein_1d, the rflb and rslb of one pair, is quantile_pow's
   one-row call.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +57,8 @@ def _quantiles(q, ends, start, stop):
     return np.repeat(q.ravel(), runs.ravel()).reshape(q.shape[0], stop - start)
 
 
-def _quantile_blocks(qx, cx, qy, cy, grid, seg):
-    # one grid search per side, read in chunks of ~GRID_CHUNK_CELLS rows_x * rows_y * points
-    ends_x = np.searchsorted(grid, cx, side="right")
-    ends_y = np.searchsorted(grid, cy, side="right")
+def _quantile_blocks(qx, ends_x, qy, ends_y, grid, seg):
+    # the grid read in chunks of ~GRID_CHUNK_CELLS rows_x * rows_y * points
     chunk = max(GRID_CHUNK_MIN, int(GRID_CHUNK_CELLS // max(1, qx.shape[0] * qy.shape[0])))
     for start in range(0, grid.size, chunk):
         stop = min(start + chunk, grid.size)
@@ -62,12 +66,39 @@ def _quantile_blocks(qx, cx, qy, cy, grid, seg):
         yield x, y, seg[start:stop]
 
 
-def merged_grid(cx, cy):
-    """Distinct breakpoints in (0, 1] of all rows, ascending, and the segments they end."""
-    points = np.sort(np.concatenate([cx.ravel(), cy.ravel()]))
-    seg = np.diff(np.concatenate([[0.0], points]))
-    keep = seg > 0.0  # a repeated breakpoint (or one at 0) ends an empty segment
+class Breaks(NamedTuple):
+    """Cumulative masses, one row per distribution, as ranks: points holds
+    their distinct values ascending, and points[rank] is the array."""
+
+    points: np.ndarray
+    rank: np.ndarray
+
+
+def breaks(cumulative):
+    """The Breaks of an array of cumulative masses."""
+    points = np.unique(cumulative)
+    return Breaks(points, np.searchsorted(points, cumulative))
+
+
+def _rows(b, rows):
+    # the Breaks of some rows alone, on the points those rows hold
+    used = np.unique(b.rank[rows])
+    return Breaks(b.points[used], np.searchsorted(used, b.rank[rows]))
+
+
+def _merged(bx, by):
+    # the distinct breakpoints in (0, 1] of both sides, ascending, and the
+    # segments they end; the two sorted runs are merged by a stable sort
+    points = np.sort(np.concatenate([bx.points, by.points]), kind="stable")
+    seg = np.diff(points, prepend=0.0)
+    keep = seg > 0.0  # a point both sides hold (or one at 0) ends an empty segment
     return points[keep], seg[keep]
+
+
+def _ends(grid, b):
+    # entry (i, k) counts the grid points up to c[i, k], where row i's atom
+    # k ends: one search per distinct point, then a gather
+    return np.searchsorted(grid, b.points, side="right")[b.rank]
 
 
 # the block rule of _by_blocks, and the grid chunks of _quantile_blocks
@@ -81,10 +112,10 @@ GRID_CHUNK_MIN = 256
 SUPPORT_CHUNK_CELLS = 2.5e5
 
 
-def _by_blocks(kernel, qx, cx, qy, cy, *args):
-    """kernel(qx, cx, qy, cy, grid, seg, *args) over row blocks of X x Y.
+def _by_blocks(kernel, qx, bx, qy, by, *args):
+    """kernel(qx, ends_x, qy, ends_y, grid, seg, *args) over row blocks of X x Y.
 
-    Each block of X rows x Y rows is integrated on its own merged_grid.
+    Each block of X rows x Y rows is integrated on its own merged grid.
     A kernel costs about rows_x * rows_y * G for G breakpoints, so the
     rule looks at the global grid: while G is at most ONE_BLOCK_RATIO
     times the two row widths (breakpoints per row, width_x + width_y),
@@ -110,34 +141,38 @@ def _by_blocks(kernel, qx, cx, qy, cy, *args):
     0.1 s and 1.2-1.5 s at p = 2 on their global grids, against 1.0 s and
     14 s in blocks of 8, which is why grids near the row widths keep one block.
     """
-    grid, seg = merged_grid(cx, cy)
-    if grid.size <= ONE_BLOCK_RATIO * (cx.shape[1] + cy.shape[1]):
-        return kernel(qx, cx, qy, cy, grid, seg, *args)
+    grid, seg = _merged(bx, by)
+    if grid.size <= ONE_BLOCK_RATIO * (qx.shape[1] + qy.shape[1]):
+        return kernel(qx, _ends(grid, bx), qy, _ends(grid, by), grid, seg, *args)
     out = np.empty((qx.shape[0], qy.shape[0]))
+    # each row block's Breaks are built once, not once per block pair
+    rows_y = [slice(b, b + BLOCK_ROWS) for b in range(0, qy.shape[0], BLOCK_ROWS)]
+    blocks_y = [(y, _rows(by, y)) for y in rows_y]
     for a in range(0, qx.shape[0], BLOCK_ROWS):
         x = slice(a, a + BLOCK_ROWS)
-        for b in range(0, qy.shape[0], BLOCK_ROWS):
-            y = slice(b, b + BLOCK_ROWS)
-            block_grid, block_seg = merged_grid(cx[x], cy[y])
-            out[x, y] = kernel(qx[x], cx[x], qy[y], cy[y], block_grid, block_seg, *args)
+        block_bx = _rows(bx, x)
+        for y, block_by in blocks_y:
+            grid, seg = _merged(block_bx, block_by)
+            ends_x, ends_y = _ends(grid, block_bx), _ends(grid, block_by)
+            out[x, y] = kernel(qx[x], ends_x, qy[y], ends_y, grid, seg, *args)
     return out
 
 
-def _direct(qx, cx, qy, cy, grid, seg, p):
+def _direct(qx, ends_x, qy, ends_y, grid, seg, p):
     # sum over segments of |Fi^-1 - Gj^-1|^p * seg, a row at a time
     out = np.zeros((qx.shape[0], qy.shape[0]))
-    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg):
+    for quant_x, quant_y, d in _quantile_blocks(qx, ends_x, qy, ends_y, grid, seg):
         for i in range(quant_x.shape[0]):
             out[i] += np.abs(quant_x[i][None, :] - quant_y) ** p @ d
     return out
 
 
-def _expanded(qx, cx, qy, cy, grid, seg):
+def _expanded(qx, ends_x, qy, ends_y, grid, seg):
     # the square as sq_x + sq_y - 2 * cross, each term summed on its own; a
     # grid split into chunks only reorders those sums, moving them by rounding
     sq_x, sq_y = np.zeros(qx.shape[0]), np.zeros(qy.shape[0])
     cross = np.zeros((qx.shape[0], qy.shape[0]))
-    for quant_x, quant_y, d in _quantile_blocks(qx, cx, qy, cy, grid, seg):
+    for quant_x, quant_y, d in _quantile_blocks(qx, ends_x, qy, ends_y, grid, seg):
         sq_x += (quant_x * quant_x) @ d
         sq_y += (quant_y * quant_y) @ d
         cross += (quant_x * d) @ quant_y.T
@@ -149,25 +184,25 @@ def _expanded(qx, cx, qy, cy, grid, seg):
     flagged = out <= 64.0 * np.finfo(np.float64).eps * scale
     rows = np.flatnonzero(flagged.any(axis=1))
     if rows.size:
-        exact = _direct(qx[rows], cx[rows], qy, cy, grid, seg, 2.0)
+        exact = _direct(qx[rows], ends_x[rows], qy, ends_y, grid, seg, 2.0)
         out[rows] = np.where(flagged[rows], exact, out[rows])
     return out
 
 
-def quantile_pow(qx, cx, qy, cy, p):
+def quantile_pow(qx, bx, qy, by, p):
     """Matrix of p-th power 1D transport costs between all row pairs.
 
-    qx[i] holds the i-th distribution's atoms sorted ascending and cx[i]
-    the matching cumulative masses (last entry exactly 1); a row may be
-    padded by repeating its last atom at cumulative 1.  Entry (i, j) is
-    the integral over t in (0, 1] of |Fi^-1(t) - Gj^-1(t)|^p, summed
-    directly over the segments of the merged breakpoint grid, in blocks
-    of rows chosen by _by_blocks.
+    qx[i] holds the i-th distribution's atoms sorted ascending, and bx
+    is breaks(cx) of the matching cumulative masses (last entry of each
+    row exactly 1); a row may be padded by repeating its last atom at
+    cumulative 1.  Entry (i, j) is the integral over t in (0, 1] of
+    |Fi^-1(t) - Gj^-1(t)|^p, summed directly over the segments of the
+    merged breakpoint grid, in blocks of rows chosen by _by_blocks.
     """
-    return _by_blocks(_direct, qx, cx, qy, cy, p)
+    return _by_blocks(_direct, qx, bx, qy, by, p)
 
 
-def tlb_pow(qx, cx, qy, cy, p):
+def tlb_pow(qx, bx, qy, by, p):
     """quantile_pow, but at p = 2 by the expansion of the square.
 
     The expansion is a matrix product per block; entries within its
@@ -175,5 +210,5 @@ def tlb_pow(qx, cx, qy, cy, p):
     exactly 0.
     """
     if p != 2.0:
-        return quantile_pow(qx, cx, qy, cy, p)
-    return _by_blocks(_expanded, qx, cx, qy, cy)
+        return quantile_pow(qx, bx, qy, by, p)
+    return _by_blocks(_expanded, qx, bx, qy, by)

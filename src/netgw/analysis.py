@@ -4,13 +4,24 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import NetworkSummary, rflb, rflb_matrix, rslb, rtlb_max, szlb
+from .bounds import (
+    NetworkSummary,
+    _check_chain,
+    _rtlb_pair,
+    rflb,
+    rflb_matrices,
+    rflb_matrix,
+    rslb,
+    rtlb_max,
+    szlb,
+)
 from .core import MeasureNetwork, _check_order, _freeze, new_network, read_text
 from .errors import DomainError, EncodeError, IoError, NonSquareError, NotConvergedError, ParseError
 from .gw import entropic_gw
@@ -66,7 +77,14 @@ class PairFailure(NamedTuple):
     error: str
 
 
+# the job of each pair of an rtlb_max sweep: the two transport solves
+_TRANSPORT = "rtlb out, in"
+
+
 def _pair_value(xi, xj, method, p, config):
+    if method == _TRANSPORT:
+        (value_out, _), (value_in, _) = _rtlb_pair(xi, xj, p)
+        return value_out, value_in
     if method == "szlb":
         return szlb(xi, xj, p)
     if method == "rslb":
@@ -106,22 +124,102 @@ def _start_worker(sweep, float_errors):
     np.seterr(**float_errors)
 
 
+def _finite_value(value, method):
+    value = float(value)
+    if not math.isfinite(value):
+        # an overflowed invariant gives inf or nan; neither is a distance
+        raise DomainError(f"{method} value is {value}, not finite")
+    return value
+
+
+def _error(err):
+    return f"{type(err).__name__}: {err}"
+
+
 def _pair_job(job, sweep=None):
     """(i, j, value, error) of the pair job = (i, j) of sweep.
 
     sweep is (items, method, p, config); a pool worker passes none and
-    reads the sweep its initializer set.
+    reads the sweep its initializer set.  A transport job's value is the
+    pair (rtlb 'out', rtlb 'in'), which its sweep checks.
     """
     i, j = job
     items, method, p, config = _worker_sweep if sweep is None else sweep
     try:
-        value = float(_pair_value(items[i], items[j], method, p, config))
-        if not math.isfinite(value):
-            # an overflowed invariant gives inf or nan; neither is a distance
-            raise DomainError(f"{method} value is {value}, not finite")
+        value = _pair_value(items[i], items[j], method, p, config)
+        if method != _TRANSPORT:
+            value = _finite_value(value, method)
         return i, j, value, None
     except Exception as err:  # manifest entry, never abort the sweep
-        return i, j, float("nan"), f"{type(err).__name__}: {err}"
+        return i, j, float("nan"), _error(err)
+
+
+@contextmanager
+def _pair_jobs(sweep, pairs, procs):
+    """The records of _pair_job over pairs, as an iterator.
+
+    With procs > 1 the pairs are sent to a pool of procs processes when
+    the block starts, so the block can work while they run.
+    """
+    if procs <= 1:
+        yield (_pair_job(pair, sweep) for pair in pairs)
+        return
+    # the sweep reaches each worker once; the pairs go in a few chunks
+    # per worker, and each worker builds the summaries it reads
+    chunksize = -(-len(pairs) // (4 * procs))
+    with ProcessPoolExecutor(
+        max_workers=procs, initializer=_start_worker, initargs=(sweep, np.geterr())
+    ) as pool:
+        yield pool.map(_pair_job, pairs, chunksize=chunksize)
+
+
+def _lower_bounds(items, p):
+    """(size_p, max|w|, rflb 'out', rflb 'in'): the sizes of each network
+    as lists of floats, and the stacked rflb calls' k x k matrices.
+
+    They run under the caller's float errors, as the pair route does.  A
+    size that raises is NaN, and a stacked call that raises leaves NaN
+    matrices, so those pairs go to the pair route, which reports why.
+    """
+    summaries = [X if isinstance(X, NetworkSummary) else NetworkSummary(X) for X in items]
+    size = []
+    for X in summaries:
+        try:
+            size.append(X.size(p))
+        except Exception:
+            size.append(math.nan)
+    try:
+        rflb_out, rflb_in = rflb_matrices(summaries, p)
+    except Exception:
+        rflb_out = rflb_in = np.full((len(items), len(items)), np.nan)
+    return size, [X.size(np.inf) for X in summaries], rflb_out, rflb_in
+
+
+def _rtlb_max_record(record, lower, sweep):
+    """The record of an rtlb_max pair, from its transport job's record and
+    the sweep's lower bounds.  A pair whose szlb or rflb is not finite, or
+    whose chain fails, runs rtlb_max whole on the pair route, so that its
+    record is the one rtlb_max gives, with rtlb_max's own rflb (which the
+    stacked one matches to rounding only)."""
+    i, j, transport, error = record
+    if error is not None:
+        return record  # rtlb_max raises the same error, before any 1D bound
+    value_out, value_in = transport
+    size, scale, rflb_out, rflb_in = lower
+    # floats, as the per-pair bounds are; szlb as bounds.szlb forms it
+    szlb_ij = abs(size[i] - size[j])
+    rflb_out, rflb_in = float(rflb_out[i, j]), float(rflb_in[i, j])
+    try:
+        _check_chain(szlb_ij, rflb_out, rflb_in, value_out, value_in, max(scale[i], scale[j]))
+        holds = all(map(math.isfinite, (szlb_ij, rflb_out, rflb_in)))
+    except DomainError:
+        holds = False
+    if not holds:
+        return _pair_job((i, j), sweep)
+    try:
+        return i, j, _finite_value(max(value_out, value_in), "rtlb_max"), None
+    except DomainError as err:
+        return i, j, float("nan"), _error(err)
 
 
 def dissimilarity_matrix(
@@ -142,12 +240,19 @@ def dissimilarity_matrix(
     once, not once per pair.  An rflb sweep over more than two networks
     is one stacked kernel call per direction (bounds.rflb_matrix), in
     this process; only a pair it gives no finite value runs on its own,
-    so its failure record is the one rflb itself gives.  workers > 1
-    starts a process pool of min(workers, pairs, cpu count) processes,
-    and runs serially when that is 1; it sends the networks (or their
-    summaries) to each worker once, when the worker starts, and then the
-    pairs as (i, j) index chunks, a few per worker; each worker builds
-    the invariants it needs on first use.
+    so its failure record is the one rflb itself gives.  An rtlb_max
+    sweep runs only the two transport solves of each pair as a job; this
+    process computes szlb from the sizes and rflb by the stacked calls
+    (bounds.rflb_matrices) while the jobs run, then checks each pair's
+    chain szlb <= rflb <= rtlb as BoundReport does.  rslb, which never
+    reaches the matrix, is not computed, so no pair fails for it alone;
+    a pair whose szlb or rflb is not finite, or whose chain fails, runs
+    bounds.rtlb_max whole, so its failure record is the one rtlb_max
+    gives.  workers > 1 starts a process pool of min(workers, pairs, cpu
+    count) processes, and runs serially when that is 1; it sends the
+    networks (or their summaries) to each worker once, when the worker
+    starts, and then the pairs as (i, j) index chunks, a few per worker;
+    each worker builds the invariants it needs on first use.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; available: {METHODS}")
@@ -189,16 +294,15 @@ def dissimilarity_matrix(
         pairs = [(i, j) for i, j in pairs if missing[i, j]]
     # no more processes than pairs or cores: the pool starts all of them at once
     procs = min(workers, len(pairs), os.cpu_count() or 1)
-    if procs > 1:
-        # the sweep reaches each worker once; the pairs go in a few chunks
-        # per worker, and each worker builds the summaries it reads
-        chunksize = -(-len(pairs) // (4 * procs))
-        with ProcessPoolExecutor(
-            max_workers=procs, initializer=_start_worker, initargs=(sweep, np.geterr())
-        ) as pool:
-            results = list(pool.map(_pair_job, pairs, chunksize=chunksize))
+    if method == "rtlb_max":
+        # the jobs solve the transports; the 1D bounds of every pair are
+        # computed here, once per sweep, while they run
+        with _pair_jobs((items, _TRANSPORT, p, config), pairs, procs) as jobs:
+            lower = _lower_bounds(items, p)
+            results = [_rtlb_max_record(record, lower, sweep) for record in jobs]
     else:
-        results = [_pair_job(pair, sweep) for pair in pairs]
+        with _pair_jobs(sweep, pairs, procs) as jobs:
+            results = list(jobs)
 
     failures = []
     for i, j, value, error in results:
@@ -301,7 +405,8 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _parse_numeric_rows(lines, path):
+def _parse_numeric_rows(lines, path, empty_ok=False):
+    # empty_ok: no data rows give a 0 x 0 array instead of a ParseError
     rows = []
     data_row = 0
     for raw in lines:
@@ -323,6 +428,8 @@ def _parse_numeric_rows(lines, path):
                 ) from None
         rows.append(parsed)
     if not rows:
+        if empty_ok:
+            return np.zeros((0, 0))
         raise ParseError(f"{path}: no data rows", row=1, col=1)
     width = len(rows[0])
     for r, row in enumerate(rows, start=1):
@@ -360,13 +467,16 @@ def load_dissimilarity_csv(path) -> DissimilarityMatrix:
 
     The labels are the text after "labels:" and the one space the writer
     puts there, split on commas only, so spaces around a label survive.
+    An empty labels text with no data rows is the 0 x 0 matrix.
     """
     lines = read_text(path).splitlines()
     labels = None
     for raw in lines:
         if raw.strip().startswith("#") and "labels:" in raw:
             labels = raw.split("labels:", 1)[1].removeprefix(" ").split(",")
-    D = _parse_numeric_rows(lines, path)
+    D = _parse_numeric_rows(lines, path, empty_ok=labels == [""])
+    if D.size == 0:
+        labels = []
     if D.shape[0] != D.shape[1]:
         raise NonSquareError(f"{path}: matrix must be square, got {D.shape}")
     if labels is None:

@@ -34,12 +34,26 @@ class TlbCostMatrix:
         object.__setattr__(self, "C", _freeze(C))
 
 
+def _check_chain(szlb, rflb_out, rflb_in, rtlb_out, rtlb_in, weight_scale):
+    """Raise DomainError unless szlb <= rflb <= rtlb in each direction, to
+    HIERARCHY_TOL times max(1, weight_scale)."""
+    chain = (
+        (szlb, rflb_out, "szlb <= rflb_out"),
+        (rflb_out, rtlb_out, "rflb_out <= rtlb_out"),
+        (szlb, rflb_in, "szlb <= rflb_in"),
+        (rflb_in, rtlb_in, "rflb_in <= rtlb_in"),
+    )
+    for lo, hi, label in chain:
+        if lo > hi + HIERARCHY_TOL * max(1.0, weight_scale):
+            raise DomainError(f"hierarchy violated: {label} failed ({lo!r} > {hi!r})")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All seven lower-bound numbers for one pair of networks.
 
-    Checks szlb <= rflb <= rtlb per direction to HIERARCHY_TOL times
-    max(1, _weight_scale), which rtlb_max sets to the largest max|w|."""
+    Checks the chain with _check_chain; rtlb_max sets _weight_scale to the
+    largest max|w|."""
 
     szlb: float
     rflb_out: float
@@ -54,17 +68,9 @@ class BoundReport:
     _weight_scale: InitVar[float] = 1.0
 
     def __post_init__(self, _weight_scale):
-        chain = (
-            (self.szlb, self.rflb_out, "szlb <= rflb_out"),
-            (self.rflb_out, self.rtlb_out, "rflb_out <= rtlb_out"),
-            (self.szlb, self.rflb_in, "szlb <= rflb_in"),
-            (self.rflb_in, self.rtlb_in, "rflb_in <= rtlb_in"),
+        _check_chain(
+            self.szlb, self.rflb_out, self.rflb_in, self.rtlb_out, self.rtlb_in, _weight_scale
         )
-        for lo, hi, label in chain:
-            if lo > hi + HIERARCHY_TOL * max(1.0, _weight_scale):
-                raise DomainError(
-                    f"hierarchy violated: {label} failed ({lo!r} > {hi!r})"
-                )
 
     def to_dict(self):
         return {
@@ -83,12 +89,15 @@ class NetworkSummary:
     """One network and the invariants the bounds read from it.
 
     Each invariant (size_p, the eccentricity and weight pushforwards,
-    the local quantiles) is built on first use and kept, keyed by its
-    order and direction.  A sweep wraps each network once, so k networks
-    cost k builds of an invariant, not one per pair.  The bound
-    functions take a network or a summary; a bare network gets a fresh
-    summary that lives for one call.  Kept quantiles take 16 n^2 bytes
-    per direction, on top of the network's 8 n^2.
+    the local quantiles, whether the weights are symmetric) is built on
+    first use and kept, keyed by its order and direction.  A sweep wraps
+    each network once, so k networks cost k builds of an invariant, not
+    one per pair.  The bound functions take a network or a summary; a
+    bare network gets a fresh summary that lives for one call.  Kept
+    quantiles take 16 n^2 bytes per direction (the atoms and the ranks
+    of their cumulative masses), plus 8 bytes per distinct cumulative
+    mass (n on a uniform measure, up to n^2), on top of the network's
+    8 n^2.
     """
 
     __slots__ = ("network", "_built")
@@ -119,6 +128,10 @@ class NetworkSummary:
 
     def quantiles(self, direction):
         return self._get(("quantiles", direction), _local_quantiles, direction)
+
+    @property
+    def symmetric(self):
+        return self._get(("symmetric",), _symmetric)
 
 
 NetworkLike = MeasureNetwork | NetworkSummary
@@ -169,31 +182,37 @@ def _stacked_ecc(summaries, p, direction):
     return list(dists), atoms, cumulative
 
 
-def rflb_matrix(networks, p) -> np.ndarray:
-    """max(rflb out, rflb in) between every pair of networks, as a matrix.
+def rflb_matrices(networks, p):
+    """(rflb 'out', rflb 'in') between every pair of networks, as matrices.
 
     One quantile_pow call per direction integrates all pairs at once,
     over every network's eccentricity pushforward, stacked; the kernel's
     block rule tiles the merged grid.  Each entry is the direct sum of
     nonnegative terms on a finer grid than rflb's, so it agrees with
-    max(rflb(X, Y, p, 'out'), rflb(X, Y, p, 'in')) to rounding (at most
-    7.5e-16 relative on 150 table1 networks at p = 1, 2 and 3).  Rows and
+    rflb(X, Y, p, direction) to rounding (their max at most 7.5e-16
+    relative on 150 table1 networks at p = 1, 2 and 3).  Rows and
     columns of a network whose pushforward raises are NaN, and an entry
     whose sum overflows is inf; dissimilarity_matrix takes those pairs
-    from rflb itself, with its error.
+    from the per-pair route, with its error.
     """
     p = _check_order(p, finite=True)
     summaries = [_summary(X) for X in networks]
     k = len(summaries)
-    value = np.zeros((k, k))
+    parts = []
     for direction in ("out", "in"):
         rows, atoms, cumulative = _stacked_ecc(summaries, p, direction)
         part = np.full((k, k), np.nan)
         if rows:
-            cost = _kernels.quantile_pow(atoms, cumulative, atoms, cumulative, p)
-            part[np.ix_(rows, rows)] = cost ** (1.0 / p)
-        value = np.maximum(value, part)
-    return value
+            b = _kernels.breaks(cumulative)
+            part[np.ix_(rows, rows)] = _kernels.quantile_pow(atoms, b, atoms, b, p) ** (1.0 / p)
+        parts.append(part)
+    return tuple(parts)
+
+
+def rflb_matrix(networks, p) -> np.ndarray:
+    """max(rflb out, rflb in) between every pair of networks, as a matrix
+    (rflb_matrices); NaN where either direction is."""
+    return np.maximum(*rflb_matrices(networks, p))
 
 
 def rslb(X: NetworkLike, Y: NetworkLike, p) -> float:
@@ -211,18 +230,19 @@ def _symmetric(X: MeasureNetwork):
 
 def _local_quantiles(X: MeasureNetwork, direction):
     # per-node atoms sorted by (weight, measure), so tied atoms add their
-    # masses in one order whatever their nodes (from_points' order)
+    # masses in one order whatever their nodes (from_points' order), and
+    # the Breaks of their cumulative masses
     w = X.weights if direction == "out" else X.weights.T
     order = np.lexsort((np.broadcast_to(X.measure, w.shape), w), axis=1)
     atoms = np.take_along_axis(w, order, axis=1)
-    return np.ascontiguousarray(atoms), _cumulative(X.measure[order])
+    return np.ascontiguousarray(atoms), _kernels.breaks(_cumulative(X.measure[order]))
 
 
 def _tlb_pow_matrix(X, Y, p, direction):
     _check_direction(direction)
-    qx, cx = _summary(X).quantiles(direction)
-    qy, cy = _summary(Y).quantiles(direction)
-    return _kernels.tlb_pow(qx, cx, qy, cy, p)
+    qx, bx = _summary(X).quantiles(direction)
+    qy, by = _summary(Y).quantiles(direction)
+    return _kernels.tlb_pow(qx, bx, qy, by, p)
 
 
 def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatrix:
@@ -260,16 +280,20 @@ def rtlb(X: NetworkLike, Y: NetworkLike, p, direction="out"):
     return max(objective, 0.0) ** (1.0 / p), coupling
 
 
-def rtlb_max(X: NetworkLike, Y: NetworkLike, p) -> BoundReport:
-    """Compute the full bound family; rtlb_max = max(rtlb_out, rtlb_in).
+def _rtlb_pair(X: NetworkLike, Y: NetworkLike, p):
+    """(rtlb(X, Y, p, 'out'), rtlb(X, Y, p, 'in')).
 
     With both weight matrices symmetric, 'in' is 'out', solved once."""
+    out = rtlb(X, Y, p, "out")
+    if _summary(X).symmetric and _summary(Y).symmetric:
+        return out, out
+    return out, rtlb(X, Y, p, "in")
+
+
+def rtlb_max(X: NetworkLike, Y: NetworkLike, p) -> BoundReport:
+    """Compute the full bound family; rtlb_max = max(rtlb_out, rtlb_in)."""
     p = _check_order(p, finite=True)
-    value_out, plan_out = rtlb(X, Y, p, "out")
-    if _symmetric(_summary(X).network) and _symmetric(_summary(Y).network):
-        value_in, plan_in = value_out, plan_out
-    else:
-        value_in, plan_in = rtlb(X, Y, p, "in")
+    (value_out, plan_out), (value_in, plan_in) = _rtlb_pair(X, Y, p)
     return BoundReport(
         szlb=szlb(X, Y, p),
         rflb_out=rflb(X, Y, p, "out"),

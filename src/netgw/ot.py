@@ -205,9 +205,9 @@ def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution, p):
     _kernels.quantile_pow.
     """
     p = _check_order(p, finite=True)
-    qa, ca = a.atoms[None, :], a.cumulative[None, :]
-    qb, cb = b.atoms[None, :], b.cumulative[None, :]
-    return float(_kernels.quantile_pow(qa, ca, qb, cb, p)[0, 0]) ** (1.0 / p)
+    qa, ba = a.atoms[None, :], _kernels.breaks(a.cumulative[None, :])
+    qb, bb = b.atoms[None, :], _kernels.breaks(b.cumulative[None, :])
+    return float(_kernels.quantile_pow(qa, ba, qb, bb, p)[0, 0]) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from netgw.analysis import (
     single_linkage,
     to_newick,
 )
-from netgw.bounds import NetworkSummary, _stacked_ecc
+from netgw.bounds import NetworkSummary, _stacked_ecc, rtlb_max
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
     DomainError,
@@ -316,7 +316,8 @@ def test_rflb_sweep_in_blocks_matches_per_pair(scripts_path):
         W = nets[source].weights[np.ix_(perm, perm)]
         nets[copy] = new_network(W, nets[source].measure[perm])
     _rows, _atoms, cumulative = _stacked_ecc([NetworkSummary(X) for X in nets], 2.0, "out")
-    grid, _seg = _kernels.merged_grid(cumulative, cumulative)
+    b = _kernels.breaks(cumulative)
+    grid, _seg = _kernels._merged(b, b)
     assert grid.size > _kernels.ONE_BLOCK_RATIO * 2 * cumulative.shape[1]
     for p in (1.0, 2.0):
         matrix = _sweep_matches_per_pair(nets, p)
@@ -402,6 +403,128 @@ def test_sweep_keeps_no_network_alive(workers):
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert matrix.complete
+
+
+def _rtlb_max_loop(nets, p, labels):
+    """The matrix and failure manifest of public rtlb_max calls on bare
+    networks, one pair at a time."""
+    k = len(nets)
+    D = np.zeros((k, k))
+    failures = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            try:
+                value = rtlb_max(nets[i], nets[j], p).rtlb_max
+                if not math.isfinite(value):
+                    raise DomainError(f"rtlb_max value is {value}, not finite")
+            except Exception as err:
+                value = math.nan
+                error = f"{type(err).__name__}: {err}"
+                failures.append(analysis.PairFailure(i, j, labels[i], labels[j], error))
+            D[i, j] = D[j, i] = value
+    return D, tuple(failures)
+
+
+def _rtlb_max_sweep_matches_loop(nets, p):
+    """The rtlb_max sweep, serially and at two workers, against
+    _rtlb_max_loop: every matrix bit and every failure record."""
+    labels = [f"x{k}" for k in range(len(nets))]
+    want, want_failures = _rtlb_max_loop(nets, p, labels)
+    for workers in (1, 2):
+        matrix, failures = dissimilarity_matrix(nets, "rtlb_max", p, labels, workers=workers)
+        assert matrix.D.tobytes() == want.tobytes()
+        assert failures == want_failures
+    return want_failures
+
+
+def test_rtlb_max_sweep_matches_per_pair_calls():
+    # the sweep's szlb and stacked rflb feed the chain check only, so the
+    # matrix is the per-pair one bit for bit, tied weights and scales far
+    # from 1 included
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        st.lists(scaled_network(exponents=st.integers(-6, 12)), min_size=2, max_size=5),
+        st.sampled_from([1.0, 2.0, 2.5]),
+    )
+    def check(nets, p):
+        assert _rtlb_max_sweep_matches_loop(nets, p) == ()
+
+    check()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("k", [3, 7])
+def test_rtlb_max_sweep_manifest_matches_per_pair_calls(k):
+    # the overflowing network's szlb is not finite, so its pairs run
+    # rtlb_max whole and fail as it does
+    failures = _rtlb_max_sweep_matches_loop(_sweep_inputs(k), 2.0)
+    assert [(f.i, f.j) for f in failures] == [(0, 1)] + [(1, j) for j in range(2, k)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rtlb_max_sweep_under_raising_float_errors_matches_per_pair_calls():
+    # the sweep's own sizes and stacked rflb run under the caller's float
+    # errors too: an overflow there sends pairs to the pair route, and
+    # never ends the sweep
+    with np.errstate(over="raise", invalid="raise"):
+        failures = _rtlb_max_sweep_matches_loop(_sweep_inputs(7), 2.0)
+    assert len(failures) == 6 and all("FloatingPointError" in f.error for f in failures)
+
+
+@pytest.mark.parametrize("broken", ["rtlb", "size_p"])
+def test_rtlb_max_sweep_reports_a_broken_chain(monkeypatch, broken):
+    # an rtlb 'in' of 0 falls below rflb 'in', and a size far too large
+    # puts szlb above rflb 'out': BoundReport's message either way
+    import netgw.bounds as bounds
+
+    rng = np.random.default_rng(29)
+    nets = [random_network(rng, 2 + s % 3) for s in range(5)]
+    real = getattr(bounds, broken)
+    if broken == "rtlb":
+        def patched(X, Y, p, direction="out"):
+            value, coupling = real(X, Y, p, direction)
+            return (0.0 if direction == "in" else value), coupling
+        label, count = "rflb_in <= rtlb_in", 10
+    else:
+        def patched(X, p):
+            return 1e3 * real(X, p) if X is nets[3] and p == 2.0 else real(X, p)
+        label, count = "szlb <= rflb_out", 4
+    monkeypatch.setattr(bounds, broken, patched)
+    failures = _rtlb_max_sweep_matches_loop(nets, 2.0)
+    assert len(failures) == count
+    assert all(f"DomainError: hierarchy violated: {label} failed" in f.error for f in failures)
+
+
+def test_rtlb_max_sweep_sends_a_nan_szlb_to_the_pair_route(monkeypatch):
+    # a NaN size passes every comparison of the chain; the pair route's
+    # szlb refuses it
+    import netgw.bounds as bounds
+
+    rng = np.random.default_rng(31)
+    nets = [random_network(rng, 3) for _ in range(4)]
+    real = bounds.size_p
+    monkeypatch.setattr(
+        bounds, "size_p", lambda X, p: math.nan if X is nets[2] and p == 2.0 else real(X, p)
+    )
+    failures = _rtlb_max_sweep_matches_loop(nets, 2.0)
+    assert [(f.i, f.j) for f in failures] == [(0, 2), (1, 2), (2, 3)]
+    assert all("DomainError: szlb is nan, not finite" in f.error for f in failures)
+
+
+def test_sweep_checks_each_network_for_symmetry_once(monkeypatch):
+    import netgw.bounds as bounds
+
+    calls = []
+    real = bounds._symmetric
+    monkeypatch.setattr(bounds, "_symmetric", lambda X: calls.append(X) or real(X))
+    rng = np.random.default_rng(23)
+    nets = []
+    for s in range(5):
+        W = rng.random((3 + s % 2, 3 + s % 2))
+        nets.append(new_network(W + W.T, np.full(W.shape[0], 1.0 / W.shape[0])))
+    matrix, failures = dissimilarity_matrix(nets, "rtlb_max", workers=1)
+    assert not failures and matrix.complete
+    assert len(calls) == 5 and all(sum(c is net for c in calls) == 1 for net in nets)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +758,20 @@ def test_matrix_roundtrip_keeps_spaces_around_labels(tmp_path):
     m = DissimilarityMatrix(labels=labels, D=np.ones((4, 4)) - np.eye(4))
     emit_outputs(tmp_path, matrix=m)
     assert load_dissimilarity_csv(tmp_path / "dissimilarity.csv").labels == labels
+
+
+def test_empty_matrix_roundtrip(tmp_path):
+    # the writer puts a 0 x 0 matrix down as an empty labels line alone
+    m = DissimilarityMatrix(labels=(), D=np.zeros((0, 0)))
+    emit_outputs(tmp_path, matrix=m)
+    back = load_dissimilarity_csv(tmp_path / "dissimilarity.csv")
+    assert back.labels == () and back.D.shape == (0, 0)
+    # no labels line, or a label, and still no rows: refused
+    f = tmp_path / "d.csv"
+    for text in ("", "# a comment\n", "# labels: a\n"):
+        f.write_text(text)
+        with pytest.raises(ParseError, match="no data rows"):
+            load_dissimilarity_csv(f)
 
 
 @pytest.mark.parametrize("labels", [("a,b", "c"), ("a\nb", "c"), ("x", "y\r")])

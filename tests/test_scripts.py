@@ -137,6 +137,39 @@ def test_bench_tlb_gate_on_small_inputs(scripts_path):
     assert bench.failing(report) == sweep
 
 
+def test_bench_summaries_gate_on_small_sweep(scripts_path, tmp_path, monkeypatch):
+    """The rtlb_max sweep matches per-pair rtlb_max calls on a small set and
+    on one holding an overflowing network; a flipped bit or a dropped
+    failure record makes the script exit 1."""
+    bench = importlib.import_module("bench_summaries")
+    rng = np.random.default_rng(7)
+    nets = [new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n)) for n in (3, 4, 5, 3)]
+    big = new_network(1e200 * rng.random((3, 3)), np.full(3, 1 / 3))
+    sets = [("small", nets, list("abcd")), ("overflow", nets[:2] + [big] + nets[2:], list("abxcd"))]
+    monkeypatch.setattr(bench, "sweep_sets", lambda: iter(sets))
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--repeats", "1"]
+    assert bench.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["sweeps"]["overflow"]["failures"] == 4 and report["all_match"]
+    sweep = bench.dissimilarity_matrix
+
+    def flipped(*args, **kwargs):
+        matrix, failures = sweep(*args, **kwargs)
+        D = matrix.D.copy()
+        D[0, 1] = np.nextafter(D[0, 1], np.inf)
+        return dataclasses.replace(matrix, D=D), failures
+
+    def dropped(*args, **kwargs):
+        matrix, failures = sweep(*args, **kwargs)
+        return matrix, failures[1:]
+
+    for planted in (flipped, dropped):
+        monkeypatch.setattr(bench, "dissimilarity_matrix", planted)
+        assert bench.main(argv) == 1
+        assert not json.loads(out.read_text())["all_match"]
+
+
 def test_bench_io_gate_on_small_networks(scripts_path):
     """Both writers read back to the same bits on a non-uniform and a
     labelled network; the gate catches a float written short."""

@@ -124,34 +124,20 @@ def _start_worker(sweep, float_errors):
     np.seterr(**float_errors)
 
 
-def _finite_value(value, method):
-    value = float(value)
-    if not math.isfinite(value):
-        # an overflowed invariant gives inf or nan; neither is a distance
-        raise DomainError(f"{method} value is {value}, not finite")
-    return value
-
-
-def _error(err):
-    return f"{type(err).__name__}: {err}"
-
-
 def _pair_job(job, sweep=None):
     """(i, j, value, error) of the pair job = (i, j) of sweep.
 
     sweep is (items, method, p, config); a pool worker passes none and
     reads the sweep its initializer set.  A transport job's value is the
-    pair (rtlb 'out', rtlb 'in'), which its sweep checks.
+    pair (rtlb 'out', rtlb 'in').  dissimilarity_matrix checks that each
+    value is finite.
     """
     i, j = job
     items, method, p, config = _worker_sweep if sweep is None else sweep
     try:
-        value = _pair_value(items[i], items[j], method, p, config)
-        if method != _TRANSPORT:
-            value = _finite_value(value, method)
-        return i, j, value, None
+        return i, j, _pair_value(items[i], items[j], method, p, config), None
     except Exception as err:  # manifest entry, never abort the sweep
-        return i, j, float("nan"), _error(err)
+        return i, j, float("nan"), f"{type(err).__name__}: {err}"
 
 
 @contextmanager
@@ -216,10 +202,7 @@ def _rtlb_max_record(record, lower, sweep):
         holds = False
     if not holds:
         return _pair_job((i, j), sweep)
-    try:
-        return i, j, _finite_value(max(value_out, value_in), "rtlb_max"), None
-    except DomainError as err:
-        return i, j, float("nan"), _error(err)
+    return i, j, max(value_out, value_in), None
 
 
 def dissimilarity_matrix(
@@ -306,6 +289,10 @@ def dissimilarity_matrix(
 
     failures = []
     for i, j, value, error in results:
+        value = float(value)
+        if error is None and not math.isfinite(value):
+            # an overflowed invariant gives inf or nan; neither is a distance
+            value, error = math.nan, f"DomainError: {method} value is {value}, not finite"
         D[i, j] = value
         if error is not None:
             failures.append(PairFailure(i, j, labels[i], labels[j], error))

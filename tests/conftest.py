@@ -97,7 +97,8 @@ def scripts_path(monkeypatch):
 
     Each reference route that a bench script times against the package
     (the per-iteration Sinkhorn loop, the full-support LP, the masked size
-    rescan, the per-pair rflb loop, the entropic outer loop) lives once, in
+    rescan, the per-pair rflb loop, the per-pair rtlb_max loop, the entropic
+    outer loop, the sort-and-search TLB grid) lives once, in
     that script; tests import it inside a test that takes this fixture,
     never at module level.  References that only tests use live here."""
     monkeypatch.syspath_prepend(str(SCRIPTS))

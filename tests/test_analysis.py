@@ -21,7 +21,7 @@ from netgw.analysis import (
     single_linkage,
     to_newick,
 )
-from netgw.bounds import NetworkSummary, _stacked_ecc, rtlb_max
+from netgw.bounds import NetworkSummary, _stacked_ecc
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
     DomainError,
@@ -405,31 +405,12 @@ def test_sweep_keeps_no_network_alive(workers):
     assert matrix.complete
 
 
-def _rtlb_max_loop(nets, p, labels):
-    """The matrix and failure manifest of public rtlb_max calls on bare
-    networks, one pair at a time."""
-    k = len(nets)
-    D = np.zeros((k, k))
-    failures = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            try:
-                value = rtlb_max(nets[i], nets[j], p).rtlb_max
-                if not math.isfinite(value):
-                    raise DomainError(f"rtlb_max value is {value}, not finite")
-            except Exception as err:
-                value = math.nan
-                error = f"{type(err).__name__}: {err}"
-                failures.append(analysis.PairFailure(i, j, labels[i], labels[j], error))
-            D[i, j] = D[j, i] = value
-    return D, tuple(failures)
-
-
 def _rtlb_max_sweep_matches_loop(nets, p):
-    """The rtlb_max sweep, serially and at two workers, against
-    _rtlb_max_loop: every matrix bit and every failure record."""
+    """The rtlb_max sweep, serially and at two workers, against public
+    rtlb_max calls one pair at a time (bench_summaries.per_pair): every
+    matrix bit and every failure record.  Needs scripts_path."""
     labels = [f"x{k}" for k in range(len(nets))]
-    want, want_failures = _rtlb_max_loop(nets, p, labels)
+    want, want_failures = importlib.import_module("bench_summaries").per_pair(nets, labels, p)
     for workers in (1, 2):
         matrix, failures = dissimilarity_matrix(nets, "rtlb_max", p, labels, workers=workers)
         assert matrix.D.tobytes() == want.tobytes()
@@ -437,7 +418,7 @@ def _rtlb_max_sweep_matches_loop(nets, p):
     return want_failures
 
 
-def test_rtlb_max_sweep_matches_per_pair_calls():
+def test_rtlb_max_sweep_matches_per_pair_calls(scripts_path):
     # the sweep's szlb and stacked rflb feed the chain check only, so the
     # matrix is the per-pair one bit for bit, tied weights and scales far
     # from 1 included
@@ -454,7 +435,7 @@ def test_rtlb_max_sweep_matches_per_pair_calls():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("k", [3, 7])
-def test_rtlb_max_sweep_manifest_matches_per_pair_calls(k):
+def test_rtlb_max_sweep_manifest_matches_per_pair_calls(scripts_path, k):
     # the overflowing network's szlb is not finite, so its pairs run
     # rtlb_max whole and fail as it does
     failures = _rtlb_max_sweep_matches_loop(_sweep_inputs(k), 2.0)
@@ -462,7 +443,7 @@ def test_rtlb_max_sweep_manifest_matches_per_pair_calls(k):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_rtlb_max_sweep_under_raising_float_errors_matches_per_pair_calls():
+def test_rtlb_max_sweep_under_raising_float_errors_matches_per_pair_calls(scripts_path):
     # the sweep's own sizes and stacked rflb run under the caller's float
     # errors too: an overflow there sends pairs to the pair route, and
     # never ends the sweep
@@ -472,7 +453,7 @@ def test_rtlb_max_sweep_under_raising_float_errors_matches_per_pair_calls():
 
 
 @pytest.mark.parametrize("broken", ["rtlb", "size_p"])
-def test_rtlb_max_sweep_reports_a_broken_chain(monkeypatch, broken):
+def test_rtlb_max_sweep_reports_a_broken_chain(scripts_path, monkeypatch, broken):
     # an rtlb 'in' of 0 falls below rflb 'in', and a size far too large
     # puts szlb above rflb 'out': BoundReport's message either way
     import netgw.bounds as bounds
@@ -495,7 +476,7 @@ def test_rtlb_max_sweep_reports_a_broken_chain(monkeypatch, broken):
     assert all(f"DomainError: hierarchy violated: {label} failed" in f.error for f in failures)
 
 
-def test_rtlb_max_sweep_sends_a_nan_szlb_to_the_pair_route(monkeypatch):
+def test_rtlb_max_sweep_sends_a_nan_szlb_to_the_pair_route(scripts_path, monkeypatch):
     # a NaN size passes every comparison of the chain; the pair route's
     # szlb refuses it
     import netgw.bounds as bounds

@@ -139,20 +139,37 @@ def test_bench_tlb_gate_on_small_inputs(scripts_path):
 
 def test_bench_summaries_gate_on_small_sweep(scripts_path, tmp_path, monkeypatch):
     """The rtlb_max sweep matches per-pair rtlb_max calls on a small set and
-    on one holding an overflowing network; a flipped bit or a dropped
-    failure record makes the script exit 1."""
+    on one holding an overflowing network; a flipped bit, a dropped failure
+    record, or pairs that fail on both routes alike make the script exit 1."""
+    import netgw.bounds as bounds
+
     bench = importlib.import_module("bench_summaries")
     rng = np.random.default_rng(7)
-    nets = [new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n)) for n in (3, 4, 5, 3)]
+    nets = [new_network(rng.uniform(-1, 1, (n, n)), np.full(n, 1 / n)) for n in (3, 4, 5, 3, 6)]
     big = new_network(1e200 * rng.random((3, 3)), np.full(3, 1 / 3))
-    sets = [("small", nets, list("abcd")), ("overflow", nets[:2] + [big] + nets[2:], list("abxcd"))]
+    sets = [("small", nets[:4], list("abcd"), 0),
+            ("overflow", nets[:2] + [big] + nets[2:], list("abxcde"), 5)]
     monkeypatch.setattr(bench, "sweep_sets", lambda: iter(sets))
     out = tmp_path / "bench.json"
     argv = ["--out", str(out), "--repeats", "1"]
     assert bench.main(argv) == 0
     report = json.loads(out.read_text())
-    assert report["sweeps"]["overflow"]["failures"] == 4 and report["all_match"]
+    assert report["sweeps"]["overflow"]["failures"] == 5 and report["all_match"]
     sweep = bench.dissimilarity_matrix
+    rtlb = bounds.rtlb
+
+    def failing(X, Y, p, direction="out"):
+        # fails the pairs of the one 6-node network, which only the
+        # overflow set holds, on both routes
+        if 6 in (bounds._summary(X).network.n, bounds._summary(Y).network.n):
+            raise ValueError("planted")
+        return rtlb(X, Y, p, direction)
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "rtlb", failing)
+        assert bench.main(argv) == 1
+        report = json.loads(out.read_text())
+        assert report["sweeps"]["overflow"]["failures"] == 9 and not report["all_match"]
 
     def flipped(*args, **kwargs):
         matrix, failures = sweep(*args, **kwargs)

@@ -1,26 +1,32 @@
 """Time the Sinkhorn loop against its per-iteration form on entropic_gw's inner solves; check they agree.
 
 ``ot._scaling``, the loop behind ``sinkhorn`` and ``sinkhorn_log``,
-runs its iterations in batches and tests for absorption and for its
-stop once per batch.  The reference here is the same loop testing after
-every iteration, the form it had before, run by the package's own
+runs its iterations in batches, tests for absorption and for its stop
+once per batch, and finishes a solve whose error stalls with Newton
+steps.  The reference here is the loop testing after every iteration,
+with no Newton step, the form it had before, run by the package's own
 ``sinkhorn_log`` (its checks, shift and threshold) in place of
 ``ot._scaling``; tests/test_ot.py checks the package against the same
-reference.  The script records every cost matrix that ``gw.entropic_gw``
-hands to ``sinkhorn_log`` at lam 100 on every pair of the max-abs
-normalized table1 draws per_class 1, seeds 0 (the table1-entropic
-benchmark's draw) and 2 (whose c5 pairs stall the inner solver), then
-solves each one with the reference and with the package.
+reference by the same rule (``verdict``).  The script records every
+cost matrix that ``gw.entropic_gw`` hands to ``sinkhorn_log`` at lam 100
+on every pair of the max-abs normalized table1 draws per_class 1, seeds
+0 (the table1-entropic benchmark's draw) and 2 (whose c5 pairs stall
+the scaling iteration), then solves each one with the reference and
+with the package.
 
-Per pair it reports the solves, their iterations and
-``GwResult.inner_iterations``; per draw and cost shape, the solves,
-iterations, seconds and microseconds per iteration of each side, and
-the package's batch size there.  The script exits 1 if a solve differs
-in any SinkhornResult field (plan bytes included), in its outcome or in
-its error message, or if a pair's inner_iterations is not the total of
-its solves' iterations.  The timings go to the JSON file; they do not
-decide the exit code.  The whole run takes about a minute on a 2-core
-machine.
+A solve agrees when it is the reference's bit for bit (every
+SinkhornResult field, plan bytes included, its outcome and its error
+message), or when the reference runs past ot.NEWTON_FIRST_TEST
+iterations, where the package's first stall test sits, and the package
+converges within the tolerance instead.  Per pair the script reports
+the solves, the iterations of each side, ``GwResult.inner_iterations``,
+and how many solves took Newton steps and how many steps they took; per
+draw and cost shape, the solves, iterations, seconds and microseconds
+per iteration of each side, and the package's batch size there.  It
+exits 1 if a solve does not agree or if a pair's inner_iterations is not
+the total of the package's iterations over its solves.  The timings go
+to the JSON file; they do not decide the exit code.  The whole run
+takes about a minute on a 2-core machine.
 
     PYTHONPATH=src python3 scripts/bench_sinkhorn.py [--out BENCH_sinkhorn.json]
 """
@@ -41,8 +47,8 @@ SEEDS = (0, 2)
 
 
 def reference_scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
-    """ot._scaling before its tests ran once per batch: every test after
-    every iteration."""
+    """ot._scaling before its tests ran once per batch and before its
+    Newton finish: every test after every iteration."""
     u = np.zeros(mu.size)
     v = np.zeros(nu.size)
     K = ot._kernel(cost, cfg.lam, u, v, gamma)
@@ -134,16 +140,56 @@ def fields(kind, res, message):
             [(type(x), np.float64(x).tobytes()) for x in floats])
 
 
+def verdict(cfg, ref, new):
+    """'same' when the package's solve new is the reference's ref bit for
+    bit, 'newton' when ref runs past ot.NEWTON_FIRST_TEST iterations and
+    new converged within cfg.tolerance instead, else None.  ref and new
+    are outcome triples."""
+    if fields(*ref) == fields(*new):
+        return "same"
+    kind, res, _ = new
+    if (ref[1] is not None and ref[1].iterations > ot.NEWTON_FIRST_TEST
+            and kind == "converged" and res.marginal_error <= cfg.tolerance):
+        return "newton"
+    return None
+
+
+def newton_steps(fn, *args):
+    """fn(*args) and the Newton steps ot._scaling took in it: the steps
+    that returned an iterate, those of a finish later dropped included."""
+    steps = 0
+    step = ot._newton_step
+
+    def counted(*step_args):
+        nonlocal steps
+        out = step(*step_args)
+        steps += out is not None
+        return out
+
+    ot._newton_step = counted
+    try:
+        return fn(*args), steps
+    finally:
+        ot._newton_step = step
+
+
+def iterations(outcome):
+    return 0 if outcome[1] is None else outcome[1].iterations
+
+
 def solve_row(cost, cfg, mu, nu):
-    """One recorded solve by both sides: shape, iterations, seconds, agreement."""
+    """One recorded solve by both sides: shape, iterations, Newton steps,
+    seconds, verdict."""
     ref, ref_s = _bench.seconds(outcome, reference_sinkhorn_log, cost, cfg, mu, nu)
-    new, new_s = _bench.seconds(outcome, ot.sinkhorn_log, cost, cfg, mu, nu)
+    (new, new_s), steps = newton_steps(_bench.seconds, outcome, ot.sinkhorn_log, cost, cfg, mu, nu)
     return {
         "shape": f"{cost.shape[0]}x{cost.shape[1]}",
-        "iterations": 0 if ref[1] is None else ref[1].iterations,
+        "reference_iterations": iterations(ref),
+        "package_iterations": iterations(new),
+        "newton_steps": steps,
         "reference_s": ref_s,
         "package_s": new_s,
-        "same": fields(*ref) == fields(*new),
+        "verdict": verdict(cfg, ref, new),
     }
 
 
@@ -175,18 +221,20 @@ def add_shapes(total, shapes):
 def pair_row(name, X, Y, config):
     res, costs = recorded_costs(X, Y, config)
     solves = [solve_row(cost, config, X.measure, Y.measure) for cost in costs]
+    timed = ("reference_iterations", "package_iterations", "reference_s", "package_s")
     shapes = {}
     for solve in solves:
-        add_shapes(shapes, {solve["shape"]: {
-            "solves": 1, **{k: solve[k] for k in ("iterations", "reference_s", "package_s")}}})
-    iterations = sum(solve["iterations"] for solve in solves)
-    differing = [f"solve {k}" for k, solve in enumerate(solves) if not solve["same"]]
-    if res.inner_iterations != iterations:
+        add_shapes(shapes, {solve["shape"]: {"solves": 1, **{k: solve[k] for k in timed}}})
+    totals = {k: sum(solve[k] for solve in solves)
+              for k in ("reference_iterations", "package_iterations", "newton_steps")}
+    differing = [f"solve {k}" for k, solve in enumerate(solves) if solve["verdict"] is None]
+    if res.inner_iterations != totals["package_iterations"]:
         differing.append("inner_iterations")
     return {
         "pair": name,
         "solves": len(solves),
-        "iterations": iterations,
+        **totals,
+        "newton_solves": sum(solve["newton_steps"] > 0 for solve in solves),
         "inner_iterations": res.inner_iterations,
         "shapes": shapes,
         "differing": differing,
@@ -194,16 +242,17 @@ def pair_row(name, X, Y, config):
 
 
 def per_iteration(shapes):
-    """The per-shape totals with microseconds per iteration and the batch size."""
+    """The per-shape totals with microseconds per iteration of each side
+    and the batch size."""
     out = {}
     for shape, row in sorted(shapes.items()):
         m, n = map(int, shape.split("x"))
-        iters = max(row["iterations"], 1)
         out[shape] = {
             **row,
             "batch": ot._batch_size(m, n),
-            "reference_us_per_iteration": 1e6 * row["reference_s"] / iters,
-            "package_us_per_iteration": 1e6 * row["package_s"] / iters,
+            **{f"{side}_us_per_iteration":
+               1e6 * row[f"{side}_s"] / max(row[f"{side}_iterations"], 1)
+               for side in ("reference", "package")},
         }
     return out
 
@@ -212,14 +261,14 @@ def draw_summary(seed, rows):
     shapes = {}
     for row in rows:
         add_shapes(shapes, row["shapes"])
+    counts = ("solves", "reference_iterations", "package_iterations", "newton_solves",
+              "newton_steps", "inner_iterations")
     return {
         "preset": "table1",
         "per_class": 1,
         "seed": seed,
         "pairs": len(rows),
-        "solves": sum(row["solves"] for row in rows),
-        "iterations": sum(row["iterations"] for row in rows),
-        "inner_iterations": sum(row["inner_iterations"] for row in rows),
+        **{k: sum(row[k] for row in rows) for k in counts},
         "shapes": per_iteration(shapes),
         "rows": rows,
     }
@@ -242,18 +291,22 @@ def main(argv=None):
             for j in range(i + 1, len(nets)):
                 row = pair_row(f"{labels[i]}-{labels[j]}", nets[i], nets[j], config)
                 rows.append(row)
-                print(json.dumps({k: row[k] for k in ("pair", "solves", "iterations",
-                                                       "differing")}), file=sys.stderr)
+                print(json.dumps({k: row[k] for k in (
+                    "pair", "solves", "reference_iterations", "package_iterations",
+                    "newton_solves", "newton_steps", "differing")}), file=sys.stderr)
         draws.append(draw_summary(seed, rows))
     report = {"lam": LAM, "batch": ot.SINKHORN_BATCH,
-              "batch_cells": ot.SINKHORN_BATCH_CELLS, "draws": draws}
+              "batch_cells": ot.SINKHORN_BATCH_CELLS,
+              "newton_first_test": ot.NEWTON_FIRST_TEST, "draws": draws}
     bad = failing(report)
     report["agree"] = not bad
     _bench.write_report(args.out, report)
-    summary = {f"seed{d['seed']}": {k: {shape: round(row[k], 2) for shape, row in d["shapes"].items()}
-                                     for k in ("reference_us_per_iteration",
-                                               "package_us_per_iteration")}
-               for d in draws}
+    summary = {f"seed{d['seed']}": {
+        **{k: d[k] for k in ("reference_iterations", "package_iterations",
+                             "newton_solves", "newton_steps")},
+        **{k: {shape: round(row[k], 2) for shape, row in d["shapes"].items()}
+           for k in ("reference_us_per_iteration", "package_us_per_iteration")}}
+        for d in draws}
     print(json.dumps({"agree": not bad, "failing": [r["pair"] for r in bad], **summary}))
     return 1 if bad else 0
 

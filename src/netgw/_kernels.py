@@ -57,12 +57,28 @@ def _quantiles(q, ends, start, stop):
     return np.repeat(q.ravel(), runs.ravel()).reshape(q.shape[0], stop - start)
 
 
+def _window(q, ends, top, bottom, start, stop):
+    # _quantiles on the atoms whose runs can meet points start..stop-1:
+    # top and bottom are the column max and min of ends, nondecreasing as
+    # each row is; the atoms before lo end by start in every row, those
+    # after hi - 1 start at stop or later, and atom lo's run starts by
+    # start, so the clipped runs of the rest are the ones dropped
+    lo = int(np.searchsorted(top, start, side="right"))
+    hi = int(np.searchsorted(bottom, stop, side="left")) + 1
+    return _quantiles(q[:, lo:hi], ends[:, lo:hi], start, stop)
+
+
 def _quantile_blocks(qx, ends_x, qy, ends_y, grid, seg):
     # the grid read in chunks of ~GRID_CHUNK_CELLS rows_x * rows_y * points
     chunk = max(GRID_CHUNK_MIN, int(GRID_CHUNK_CELLS // max(1, qx.shape[0] * qy.shape[0])))
+    if chunk >= grid.size:
+        yield _quantiles(qx, ends_x, 0, grid.size), _quantiles(qy, ends_y, 0, grid.size), seg
+        return
+    sides = [(q, ends, ends.max(axis=0), ends.min(axis=0))
+             for q, ends in ((qx, ends_x), (qy, ends_y))]
     for start in range(0, grid.size, chunk):
         stop = min(start + chunk, grid.size)
-        x, y = _quantiles(qx, ends_x, start, stop), _quantiles(qy, ends_y, start, stop)
+        x, y = (_window(*side, start, stop) for side in sides)
         yield x, y, seg[start:stop]
 
 

@@ -47,8 +47,10 @@ class GwResult:
     last usable iterate.  cycle is the orbit's period when the cycle
     check stopped the run, and 0 otherwise.  inner_stalls counts inner
     solves that ran out of iterations and were continued from their
-    partial plan; inner_iterations totals the Sinkhorn iterations of every
-    inner solve, stalled ones included.
+    partial plan: solves whose error stalled and whose Newton finish
+    failed too (see ot._scaling), or that ran out of budget while the
+    error still fell; inner_iterations totals the Sinkhorn iterations
+    (Newton steps included) of every inner solve, stalled ones included.
     """
 
     coupling: Coupling

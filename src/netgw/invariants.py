@@ -94,6 +94,25 @@ def weight_pushforward(X: MeasureNetwork) -> DiscreteDistribution:
     )
 
 
+def _bins(ts, w):
+    """np.searchsorted(ts, w) for sorted ts and finite w: the number of
+    thresholds below each weight, by one binary search over all of w at
+    once, on ts padded with +inf to 2^k - 1 entries (no per-weight call,
+    and one threshold is one comparison)."""
+    step = (1 << ts.size.bit_length()) // 2
+    if not step:
+        return np.zeros(w.shape, dtype=np.intp)
+    padded = np.concatenate([ts, np.full(2 * step - 1 - ts.size, np.inf)])
+    pos = step * (padded[step - 1] < w)
+    idx = np.empty_like(pos)
+    step //= 2
+    while step:
+        np.add(pos, step - 1, out=idx)
+        pos += step * (padded[idx] < w)
+        step //= 2
+    return pos
+
+
 def _level_sizes(X: MeasureNetwork, p, thresholds, kind):
     """Sublevel (or superlevel: -w against -t) sizes at every threshold.
 
@@ -112,7 +131,7 @@ def _level_sizes(X: MeasureNetwork, p, thresholds, kind):
     for start in range(0, X.n, 64):
         rows = slice(start, start + 64)  # a block of rows shares one set of bins
         terms = np.abs(w[rows]) ** p * np.outer(X.measure[rows], X.measure)
-        bins = np.searchsorted(ts, w[rows]).ravel()
+        bins = _bins(ts, w[rows]).ravel()
         parts.append(np.bincount(bins, terms.ravel(), t.size + 1)[:-1])
     while len(parts) > 1:
         parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]

@@ -224,6 +224,26 @@ def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution, p):
 SINKHORN_BATCH = 32
 SINKHORN_BATCH_CELLS = 3.2e5
 
+# _scaling's Newton finish.  Its stall tests sit at NEWTON_FIRST_TEST * 2^k
+# iterations and fire when the column error fell by less than
+# NEWTON_STALL_RATIO since half that iteration; an error falling as
+# 1 / iterations halves there.  On the inner solves of max-abs normalized
+# table1 (per_class 1, seed 0, lam 100) they fire on the three solves that
+# stall at 10,000 iterations and on one that converged at 5,567, and on
+# none of the other 263.  A finish may take NEWTON_STEPS steps (those four
+# took 4-10, random costs with lam * range up to 700 up to 18); a step's
+# conjugate gradients stop at relative residual NEWTON_CG_TOL or after
+# NEWTON_CG_ITERS iterations (6-56 on the table1 draws of seeds 0 and 2),
+# and its Armijo backtracking (constant NEWTON_ARMIJO) halves the length
+# at most NEWTON_HALVINGS times
+NEWTON_FIRST_TEST = 128
+NEWTON_STALL_RATIO = 4.0
+NEWTON_STEPS = 30
+NEWTON_CG_ITERS = 200
+NEWTON_CG_TOL = 1e-8
+NEWTON_ARMIJO = 1e-4
+NEWTON_HALVINGS = 30
+
 
 @dataclass(frozen=True)
 class SinkhornConfig:
@@ -252,7 +272,9 @@ class SinkhornResult:
     plan is the last iterate rounded onto (mu, nu) by _round_to_marginals;
     marginal_error is the column error max|b * (K^T a) - nu| of the iterate
     before that rounding, whose rows match mu to rounding after the
-    a-update.
+    a-update.  iterations counts scaling iterations and the Newton steps
+    of a solve that _scaling finishes by them, one each, so
+    SinkhornConfig.max_iters bounds both together.
     """
 
     plan: Coupling
@@ -290,7 +312,8 @@ def sinkhorn(cost, cfg: SinkhornConfig, mu, nu) -> SinkhornResult:
     Checks cost, mu and nu (see _checked), then the kernel: it raises
     KernelUnderflow when an entry is infinite or below the smallest
     positive normal double; use sinkhorn_log for such instances.  Runs
-    the sinkhorn_log loop at gamma = 0 with absorption switched off.
+    the sinkhorn_log loop, Newton finish included, at gamma = 0 with
+    absorption switched off.
     """
     cost, mu, nu = _checked(cost, mu, nu)
     return _scaling(cost, cfg, mu, nu, 0.0, np.inf)
@@ -312,7 +335,10 @@ def sinkhorn_log(cost, cfg: SinkhornConfig, mu, nu) -> SinkhornResult:
     loop tests for absorption and for its stop once per batch of
     iterations; every iterate up to the first one that absorbs or stops is
     computed as by a loop testing every iteration, so results are the
-    same bit for bit (see _scaling).
+    same bit for bit.  A solve whose column error stalls (tested from
+    iteration NEWTON_FIRST_TEST on) is finished by Newton steps on the
+    potentials; it then converges within the tolerance, and otherwise
+    ends bit for bit as the scaling loop alone ends it (see _scaling).
     """
     cost, mu, nu = _checked(cost, mu, nu)
     alpha, beta = float(cost.min()), float(cost.max())
@@ -336,6 +362,130 @@ def _batch_size(m, n):
     return max(1, min(SINKHORN_BATCH, int(SINKHORN_BATCH_CELLS // (m * n))))
 
 
+def _newton_step(K, a, b, kta, mu, nu):
+    """One Newton step on the dual of the entropic problem, then one row
+    update: (a, b, K^T a, column error) of the new iterate, or None when
+    the step fails.
+
+    The plan is P = diag(a) K diag(b); the step moves the log-scalings
+    by (x, y), P_ij -> P_ij exp(x_i + y_j), to solve
+    [diag(r) P; P^T diag(c)] (x, y) = (mu - r, nu - c), r and c the row
+    and column sums of P.  With x eliminated, y solves the Schur
+    complement diag(c) - P^T diag(1/r) P, whose kernel is the constant
+    vector, so y[-1] = 0 and the other n - 1 entries come from
+    preconditioned conjugate gradients (Jacobi preconditioner; two
+    products with P per iteration; no dense solve).  Armijo backtracking
+    on the dual objective <x, mu> + <y, nu> - sum(P exp(x + y)), whose
+    change is formed from expm1 terms so that it keeps its digits near
+    the optimum, picks the length t.  The step keeps b exp(t y) and then
+    updates the rows, a = mu / (K b) as in the loop, which maximizes the
+    objective over x and so gains at least what t x would.  The step
+    fails, and leaves the caller's arrays as they were, when a row sum or
+    a preconditioner entry is not positive and finite, the conjugate
+    gradients break down, no length passes the Armijo test, or the new
+    iterate's error is not finite.  Its floating-point warnings are
+    silenced: a plan whose entries underflow is a case for these checks.
+    """
+    n = b.size
+    with np.errstate(all="ignore"):
+        P = K * a[:, None]
+        P *= b
+        r = P.sum(axis=1)
+        c = b * kta
+        diag = c - (1.0 / r).dot(P * P)
+        if not (np.all(r > 0.0) and np.all(diag[:-1] > 0.0) and np.all(np.isfinite(diag))):
+            return None
+        er, ec = mu - r, nu - c
+
+        def schur(z):
+            full = np.append(z, 0.0)
+            return (c * full - P.T.dot(P.dot(full) / r))[:-1]
+
+        rhs = (ec - P.T.dot(er / r))[:-1]
+        precond = 1.0 / diag[:-1]
+        z = np.zeros(n - 1)
+        res = rhs
+        s = precond * res
+        d = s
+        rs = res.dot(s)
+        stop = (NEWTON_CG_TOL * np.linalg.norm(rhs)) ** 2
+        for _ in range(NEWTON_CG_ITERS):
+            sd = schur(d)
+            curvature = d.dot(sd)
+            if not (curvature > 0.0 and np.isfinite(curvature)):
+                return None
+            step = rs / curvature
+            z = z + step * d
+            res = res - step * sd
+            if res.dot(res) <= stop:
+                break
+            s = precond * res
+            rs, rs_old = res.dot(s), rs
+            d = s + (rs / rs_old) * d
+        y = np.append(z, 0.0)
+        x = (er - P.dot(y)) / r
+        slope = er.dot(x) + ec.dot(y)
+        if not (slope > 0.0 and np.isfinite(slope)):
+            return None
+        t = 1.0
+        for _ in range(NEWTON_HALVINGS):
+            ex, ey = np.expm1(t * x), np.expm1(t * y)
+            gain = t * (mu.dot(x) + nu.dot(y)) - r.dot(ex) - c.dot(ey) - ex.dot(P.dot(ey))
+            if gain >= NEWTON_ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            return None
+        b = b * (ey + 1.0)
+        a = mu / K.dot(b)
+        kta = K.T.dot(a)
+        err = float(np.abs(b * kta - nu).max())
+    if not np.isfinite(err):
+        return None
+    return a, b, kta, err
+
+
+def _absorbed(cost, lam, gamma, u, v, a, b):
+    """The potentials with the scalings a, b folded in, and the kernel
+    rebuilt on them, or None when that kernel overflows."""
+    u = u + np.log(a) / lam
+    v = v + np.log(b) / lam
+    K = _kernel(cost, lam, u, v, gamma)
+    if not np.all(np.isfinite(K)):
+        return None
+    # keep the kernel strictly positive (the convergence theorem needs
+    # K > 0); the clamp moves the fixed point by less than
+    # tiny * threshold^2, far below any usable tolerance
+    return u, v, np.maximum(K, TINY_NORMAL)
+
+
+def _newton_finish(cost, cfg, mu, nu, gamma, absorb_threshold, state, budget):
+    """Newton steps from state = (u, v, K, a, b, K^T a) until the column
+    error is within the tolerance: the steps taken, (u, v, K, a, b) then,
+    the error, and the (min, max) of each kernel absorbed on the way; or
+    None when a step fails, a kernel overflows or budget steps do not get
+    there.  Each step is followed by the loop's absorption test."""
+    u, v, K, a, b, kta = state
+    ranges = []
+    for steps in range(1, budget + 1):
+        step = _newton_step(K, a, b, kta, mu, nu)
+        if step is None:
+            return None
+        a, b, kta, err = step
+        if max(float(a.max()), float(b.max())) > absorb_threshold:
+            absorbed = _absorbed(cost, cfg.lam, gamma, u, v, a, b)
+            if absorbed is None:
+                return None
+            u, v, K = absorbed
+            ranges.append((float(K.min()), float(K.max())))
+            a, b = np.ones(mu.size), np.ones(nu.size)
+            kta = K.T.dot(a)
+            err = float(np.abs(b * kta - nu).max())
+        if err <= cfg.tolerance:
+            return steps, (u, v, K, a, b), err, ranges
+    return None
+
+
 def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     """The Sinkhorn loop on checked inputs.  Its kernel starts from zero
     potentials, where it must be finite with every entry a normal double
@@ -357,6 +507,23 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     rows after it are dropped.  The batch shrinks with m * n, down to one
     iteration on large costs, so a solve there computes nothing past its
     stop.
+
+    A solve whose error stalls is finished by Newton steps.  At
+    iterations NEWTON_FIRST_TEST, 2 * NEWTON_FIRST_TEST, 4 *
+    NEWTON_FIRST_TEST and so on (batches end there) the loop compares
+    the column error with the one at half that iteration; when it has
+    fallen by less than NEWTON_STALL_RATIO, the scaling iteration is
+    converging sublinearly or slowly, and _newton_finish takes Newton
+    steps, each counted as one iteration and followed by the same
+    absorption test, until the error is within the tolerance.  A finish
+    that fails (a step fails, a kernel overflows, or NEWTON_STEPS steps,
+    or the steps left in the budget, do not reach the tolerance) is
+    dropped whole: the loop goes on from the state it had, its steps are
+    not counted, and no other finish is tried in that solve.  So a solve
+    ends either converged within the tolerance by Newton steps or exactly
+    as the scaling loop alone ends it, bit for bit; one that stops by
+    iteration NEWTON_FIRST_TEST never takes a step, and a solve does at
+    most NEWTON_STEPS uncounted steps on top of its iterations.
     """
     m, n = mu.size, nu.size
     lam, tolerance = cfg.lam, cfg.tolerance
@@ -377,16 +544,19 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     # row r of each buffer holds iteration r of the batch; it reads
     # K^T a from KTA[r] and writes its own to KTA[r + 1]
     rows = list(zip(A, B, KTA[:-1], KTA[1:]))
-    np.matmul(KT, np.ones(m), out=KTA[0])
+    KT.dot(np.ones(m), out=KTA[0])
     absorptions = 0
     it = 0
+    # the next stall test, the error at the last one, and whether a
+    # Newton finish may still be tried
+    test, tested_err, newton = NEWTON_FIRST_TEST // 2, None, True
     while True:
-        k = min(batch, cfg.max_iters - it)
+        k = min(batch, cfg.max_iters - it, test - it)
         for a, b, kta, kta_next in rows[:k]:
             np.divide(nu, kta, out=b)
-            np.matmul(K, b, out=kb)
+            K.dot(b, out=kb)
             np.divide(mu, kb, out=a)
-            np.matmul(KT, a, out=kta_next)
+            KT.dot(a, out=kta_next)
         # Python's max(a_max, b_max) keeps a_max unless b_max is larger,
         # NaN included
         a_max, b_max = A[:k].max(axis=1), B[:k].max(axis=1)
@@ -398,18 +568,13 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
         it += r + 1
         a, b, err = A[r], B[r], float(errs[r])
         if events.size and absorbs[r]:
-            u = u + np.log(a) / lam
-            v = v + np.log(b) / lam
-            K = _kernel(cost, lam, u, v, gamma)
-            if not np.all(np.isfinite(K)):
+            absorbed = _absorbed(cost, lam, gamma, u, v, a, b)
+            if absorbed is None:
                 raise KernelUnderflowError(
                     "absorbed kernel overflowed; lower lam or raise "
                     "absorb_threshold"
                 )
-            # keep the kernel strictly positive (the convergence theorem
-            # needs K > 0); the clamp moves the fixed point by less than
-            # tiny * threshold^2, far below any usable tolerance
-            K = np.maximum(K, TINY_NORMAL)
+            u, v, K = absorbed
             KT = K.T
             a = np.ones(m)
             b = np.ones(n)
@@ -418,7 +583,7 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
             kernel_max = max(kernel_max, float(K.max()))
             # an absorbed kernel is this iteration's iterate: its rows
             # match mu, so its columns decide the stop
-            np.matmul(KT, a, out=KTA[0])
+            KT.dot(a, out=KTA[0])
             err = float(np.abs(b * KTA[0] - nu).max())
             if err <= tolerance or not np.isfinite(err):
                 break
@@ -428,6 +593,21 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
             KTA[0] = KTA[k]
         if it == cfg.max_iters:
             break
+        if it == test:
+            stalled = tested_err is not None and err * NEWTON_STALL_RATIO > tested_err
+            test, tested_err = 2 * test, err
+            if stalled and newton:
+                newton = False
+                finish = _newton_finish(cost, cfg, mu, nu, gamma, absorb_threshold,
+                                        (u, v, K, a, b, KTA[0]),
+                                        min(NEWTON_STEPS, cfg.max_iters - it))
+                if finish is not None:
+                    steps, (u, v, K, a, b), err, ranges = finish
+                    it += steps
+                    absorptions += len(ranges)
+                    for low, high in ranges:
+                        kernel_min, kernel_max = min(kernel_min, low), max(kernel_max, high)
+                    break
     plan = a[:, None] * K * b[None, :]
     # a non-finite or all-zero iterate has nothing to round
     usable = np.all(np.isfinite(plan)) and float(plan.sum()) > 0.0

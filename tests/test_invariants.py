@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from netgw import invariants
 from netgw.core import new_network, one_point_network
 from netgw.errors import (
     DomainError,
@@ -225,6 +226,21 @@ def test_level_sizes_match_masked_rescan(scripts_path):
                 npt.assert_allclose(curve.values, want, rtol=0.0, atol=tol)
 
     check()
+
+
+def test_bins_match_searchsorted(rng):
+    # the branchless search against np.searchsorted: 0 to 600 thresholds
+    # (padding of every length), ties among them, +-inf, and weights equal
+    # to thresholds, between them and beyond both ends
+    for size in (0, 1, 2, 3, 4, 7, 8, 9, 600):
+        ts = np.sort(np.concatenate([rng.choice([-np.inf, np.inf], size // 4),
+                                     np.round(rng.uniform(-3.0, 3.0, size - size // 4), 1)]))
+        w = np.concatenate([np.round(rng.uniform(-4.0, 4.0, 200), 1), ts[np.isfinite(ts)],
+                            [-1e300, 1e300]]).reshape(-1, 1)
+        for weights in (w, w.reshape(1, -1)):
+            want = np.searchsorted(ts, weights)
+            got = invariants._bins(ts, weights)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _circle_subsize(n, grid):

@@ -243,9 +243,23 @@ def _chunk_instances(rng):
 
 def test_grid_chunks_match_one_chunk(rng, monkeypatch):
     # chunks of 3 grid points against the whole grid as one chunk, in both
-    # kernels; at p = 2 the flagged resummation runs under chunks too
+    # kernels; at p = 2 the flagged resummation runs under chunks too.  Each
+    # chunk reads only the atoms whose runs reach it, and its quantiles are
+    # the one chunk's columns bit for bit
     for qx, bx, qy, by, zeros in _chunk_instances(rng):
-        assert _kernels._merged(bx, by)[0].size > 3 * 4
+        grid, seg = _kernels._merged(bx, by)
+        assert grid.size > 3 * 4
+        ends = [_kernels._ends(grid, b) for b in (bx, by)]
+        whole = list(_kernels._quantile_blocks(qx, ends[0], qy, ends[1], grid, seg))
+        assert len(whole) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "GRID_CHUNK_CELLS", 0)
+            patch.setattr(_kernels, "GRID_CHUNK_MIN", 3)
+            chunks = list(_kernels._quantile_blocks(qx, ends[0], qy, ends[1], grid, seg))
+        assert len(chunks) == -(-grid.size // 3)
+        for start, chunk in zip(range(0, grid.size, 3), chunks):
+            for got, want in zip(chunk, whole[0]):
+                assert got.tobytes() == want[..., start:start + 3].tobytes()
         for p in (1.0, 2.0, 2.5):
             kernels = (_kernels.tlb_pow, _kernels.quantile_pow)
             one = [kernel(qx, bx, qy, by, p) for kernel in kernels]

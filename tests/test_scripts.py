@@ -281,7 +281,9 @@ def test_bench_entropic_reference_linearizes_by_the_package(scripts_path, monkey
 def test_bench_sinkhorn_gate_on_small_pairs(scripts_path, monkeypatch):
     """Every inner solve of a few small pairs agrees with the per-iteration
     loop bit for bit and the pairs' inner_iterations add up; the gate
-    catches a planted change in a solve and in the count."""
+    catches a planted change in a solve and in the count, and lets a
+    solve differ only where its reference runs past the first stall test
+    and the package converges within the tolerance instead."""
     bench = importlib.import_module("bench_sinkhorn")
     rng = np.random.default_rng(21)
     config = SinkhornConfig(lam=20.0)
@@ -290,7 +292,8 @@ def test_bench_sinkhorn_gate_on_small_pairs(scripts_path, monkeypatch):
     rows = [bench.pair_row("pair", X, Y, config) for X, Y in pairs]
     draw = bench.draw_summary(0, rows)
     assert bench.failing({"draws": [draw]}) == []
-    assert draw["iterations"] == draw["inner_iterations"] > draw["solves"] > 0
+    assert draw["package_iterations"] == draw["inner_iterations"] > draw["solves"] > 0
+    assert draw["reference_iterations"] == draw["package_iterations"]
     assert sum(row["solves"] for row in draw["shapes"].values()) == draw["solves"]
 
     # a plan one ulp off, or one more iteration, is a difference
@@ -306,6 +309,20 @@ def test_bench_sinkhorn_gate_on_small_pairs(scripts_path, monkeypatch):
     assert bench.fields(kind, nudged, message) != bench.fields(*ref)
     longer = dataclasses.replace(res, iterations=res.iterations + 1)
     assert bench.fields(kind, longer, message) != bench.fields(*ref)
+    assert bench.verdict(config, ref, ref) == "same"
+    assert bench.verdict(config, ref, (kind, longer, message)) is None
+
+    # past the first stall test only a solve converged within the tolerance
+    # may differ
+    first = bench.ot.NEWTON_FIRST_TEST
+    assert kind == "converged" and res.marginal_error <= config.tolerance
+    for ran, want in ((first + 1, "newton"), (first, None)):
+        stalled = ("stalled", dataclasses.replace(res, iterations=ran, converged=False), "m")
+        assert bench.verdict(config, stalled, ref) == want
+    stalled = ("stalled", dataclasses.replace(res, iterations=first + 1, converged=False), "m")
+    loose = dataclasses.replace(res, marginal_error=2 * config.tolerance)
+    assert bench.verdict(config, stalled, (kind, loose, message)) is None
+    assert bench.verdict(config, stalled, ("stalled", loose, message)) is None
 
     solve, run = bench.ot.sinkhorn_log, bench.gw.entropic_gw
     with monkeypatch.context() as patch:

@@ -12,9 +12,9 @@ a gather.  Their callers:
 - bounds.tlb_cost and bounds.rtlb call tlb_pow on two networks' local
   quantiles, whose Breaks a NetworkSummary keeps per direction (a bare
   network builds them for the call);
-- bounds.rflb_matrices, the rflb of a sweep over more than two networks
-  and of an rtlb_max sweep, calls quantile_pow once per direction on
-  every network's stacked eccentricity pushforward;
+- bounds.rflb_matrices calls quantile_pow once per direction on every
+  network's stacked eccentricity pushforward: the rflb of an rflb sweep
+  over more than two networks, and of an rtlb_max sweep's chain checks;
 - ot.wasserstein_1d, the rflb and rslb of one pair, is quantile_pow's
   one-row call.
 """
@@ -153,9 +153,10 @@ def _by_blocks(kernel, qx, bx, qy, by, *args):
     37 s at p = 1 on its global grid, and 0.9-1.0 s and 1.4-1.7 s in
     blocks of 8 rows (0.6 s and 1.8 s in blocks of 16, 0.5 s and 3.2 s in
     blocks of 32); the 150 stacked pushforwards 0.06 s on one grid and
-    0.03 s in blocks.  In a run 3 times slower, the sphere pairs took
-    0.1 s and 1.2-1.5 s at p = 2 on their global grids, against 1.0 s and
-    14 s in blocks of 8, which is why grids near the row widths keep one block.
+    0.03 s in blocks.  The sphere pairs take 0.064 s and 0.78 s at p = 2,
+    and 1.74 s and 44.7 s at p = 1, on their global grids; blocks of 8
+    took about 10 times as long at p = 2 in an earlier run, which is why
+    grids near the row widths keep one block.
     """
     grid, seg = _merged(bx, by)
     if grid.size <= ONE_BLOCK_RATIO * (qx.shape[1] + qy.shape[1]):

@@ -15,9 +15,9 @@ from .bounds import (
     NetworkSummary,
     _check_chain,
     _rtlb_pair,
+    _summary,
     rflb,
     rflb_matrices,
-    rflb_matrix,
     rslb,
     rtlb_max,
     szlb,
@@ -28,7 +28,6 @@ from .gw import entropic_gw
 from .ot import SinkhornConfig
 
 SYMMETRY_TOL = 1e-9
-METHODS = ("szlb", "rslb", "rflb", "rtlb_max", "entropic_gw")
 
 
 @dataclass(frozen=True)
@@ -77,24 +76,27 @@ class PairFailure(NamedTuple):
     error: str
 
 
-# the job of each pair of an rtlb_max sweep: the two transport solves
-_TRANSPORT = "rtlb out, in"
+# a sweep's pair function (X, Y, p, config) -> value looks its bound up in
+# this module's globals when it runs, so a wrapper set on the name sees it
+def _szlb_pair(X, Y, p, config):
+    return szlb(X, Y, p)
 
 
-def _pair_value(xi, xj, method, p, config):
-    if method == _TRANSPORT:
-        (value_out, _), (value_in, _) = _rtlb_pair(xi, xj, p)
-        return value_out, value_in
-    if method == "szlb":
-        return szlb(xi, xj, p)
-    if method == "rslb":
-        return rslb(xi, xj, p)
-    if method == "rflb":
-        return max(rflb(xi, xj, p, "out"), rflb(xi, xj, p, "in"))
-    if method == "rtlb_max":
-        return rtlb_max(xi, xj, p).rtlb_max
-    # entropic_gw, at p=2 (dissimilarity_matrix checked both)
-    res = entropic_gw(xi, xj, config)
+def _rslb_pair(X, Y, p, config):
+    return rslb(X, Y, p)
+
+
+def _rflb_pair(X, Y, p, config):
+    return max(rflb(X, Y, p, "out"), rflb(X, Y, p, "in"))
+
+
+def _rtlb_max_pair(X, Y, p, config):
+    return rtlb_max(X, Y, p).rtlb_max
+
+
+def _entropic_gw_pair(X, Y, p, config):
+    # at p = 2 (dissimilarity_matrix checked it)
+    res = entropic_gw(X, Y, config)
     # the value of an unconverged or aborted run is only the distortion
     # of some coupling, not an estimate of d_{N,2}; record a failure
     if res.inner_error is not None or not res.converged:
@@ -109,6 +111,17 @@ def _pair_value(xi, xj, method, p, config):
         )
     # the solver estimates d_{N,2}; the matrix convention is 2*d
     return 2.0 * res.value
+
+
+def _transports(X, Y, p, config):
+    # the job of each pair of an rtlb_max sweep: (rtlb 'out', rtlb 'in')
+    (value_out, _), (value_in, _) = _rtlb_pair(X, Y, p)
+    return value_out, value_in
+
+
+_PAIR_FUNCTIONS = {"szlb": _szlb_pair, "rslb": _rslb_pair, "rflb": _rflb_pair,
+                   "rtlb_max": _rtlb_max_pair, "entropic_gw": _entropic_gw_pair}
+METHODS = tuple(_PAIR_FUNCTIONS)
 
 
 # the sweep a pool worker serves: set once per worker by _start_worker,
@@ -127,26 +140,25 @@ def _start_worker(sweep, float_errors):
 def _pair_job(job, sweep=None):
     """(i, j, value, error) of the pair job = (i, j) of sweep.
 
-    sweep is (items, method, p, config); a pool worker passes none and
-    reads the sweep its initializer set.  A transport job's value is the
-    pair (rtlb 'out', rtlb 'in').  dissimilarity_matrix checks that each
-    value is finite.
+    sweep is (items, pair function, p, config); a pool worker passes
+    none and reads the sweep its initializer set.  dissimilarity_matrix
+    checks that each value is finite.
     """
     i, j = job
-    items, method, p, config = _worker_sweep if sweep is None else sweep
+    items, pair, p, config = _worker_sweep if sweep is None else sweep
     try:
-        return i, j, _pair_value(items[i], items[j], method, p, config), None
+        return i, j, pair(items[i], items[j], p, config), None
     except Exception as err:  # manifest entry, never abort the sweep
         return i, j, float("nan"), f"{type(err).__name__}: {err}"
 
 
 @contextmanager
-def _pair_jobs(sweep, pairs, procs):
-    """The records of _pair_job over pairs, as an iterator.
-
-    With procs > 1 the pairs are sent to a pool of procs processes when
-    the block starts, so the block can work while they run.
-    """
+def _pair_jobs(sweep, pairs, workers):
+    """The records of _pair_job over pairs, as an iterator.  With more
+    than one process (at most workers, pairs or cores: a pool starts all
+    at once), the pairs go to a pool when the block starts, so the block
+    can work while they run."""
+    procs = min(workers, len(pairs), os.cpu_count() or 1)
     if procs <= 1:
         yield (_pair_job(pair, sweep) for pair in pairs)
         return
@@ -160,49 +172,48 @@ def _pair_jobs(sweep, pairs, procs):
 
 
 def _lower_bounds(items, p):
-    """(size_p, max|w|, rflb 'out', rflb 'in'): the sizes of each network
-    as lists of floats, and the stacked rflb calls' k x k matrices.
-
-    They run under the caller's float errors, as the pair route does.  A
-    size that raises is NaN, and a stacked call that raises leaves NaN
-    matrices, so those pairs go to the pair route, which reports why.
-    """
-    summaries = [X if isinstance(X, NetworkSummary) else NetworkSummary(X) for X in items]
-    size = []
-    for X in summaries:
-        try:
-            size.append(X.size(p))
-        except Exception:
-            size.append(math.nan)
+    """(rflb 'out', rflb 'in') between every pair, from the stacked calls,
+    under the caller's float errors as on the pair route.  A call that
+    raises leaves NaN matrices: the pair route then reports why."""
     try:
-        rflb_out, rflb_in = rflb_matrices(summaries, p)
+        return rflb_matrices(items, p)
     except Exception:
-        rflb_out = rflb_in = np.full((len(items), len(items)), np.nan)
-    return size, [X.size(np.inf) for X in summaries], rflb_out, rflb_in
+        nan = np.full((len(items), len(items)), np.nan)
+        return nan, nan
 
 
-def _rtlb_max_record(record, lower, sweep):
-    """The record of an rtlb_max pair, from its transport job's record and
-    the sweep's lower bounds.  A pair whose szlb or rflb is not finite, or
-    whose chain fails, runs rtlb_max whole on the pair route, so that its
-    record is the one rtlb_max gives, with rtlb_max's own rflb (which the
-    stacked one matches to rounding only)."""
-    i, j, transport, error = record
-    if error is not None:
-        return record  # rtlb_max raises the same error, before any 1D bound
-    value_out, value_in = transport
-    size, scale, rflb_out, rflb_in = lower
-    # floats, as the per-pair bounds are; szlb as bounds.szlb forms it
-    szlb_ij = abs(size[i] - size[j])
-    rflb_out, rflb_in = float(rflb_out[i, j]), float(rflb_in[i, j])
-    try:
-        _check_chain(szlb_ij, rflb_out, rflb_in, value_out, value_in, max(scale[i], scale[j]))
-        holds = all(map(math.isfinite, (szlb_ij, rflb_out, rflb_in)))
-    except DomainError:
-        holds = False
-    if not holds:
-        return _pair_job((i, j), sweep)
-    return i, j, max(value_out, value_in), None
+def _rtlb_max_transports(items, p, pairs, workers):
+    """(records, pairs left to the pair route) of an rtlb_max sweep's
+    transport jobs, whose chains this process checks as BoundReport does
+    while they run.  A job that raised keeps its record: rtlb_max raises
+    the same error, before any 1D bound."""
+    records, left = [], []
+    with _pair_jobs((items, _transports, p, None), pairs, workers) as jobs:
+        summaries = [_summary(X) for X in items]
+        size = []
+        for X in summaries:
+            try:
+                size.append(X.size(p))
+            except Exception:  # NaN sends its pairs to the pair route
+                size.append(math.nan)
+        scale = [X.size(np.inf) for X in summaries]
+        rflb_out, rflb_in = _lower_bounds(summaries, p)
+        for i, j, transport, error in jobs:
+            if error is not None:
+                records.append((i, j, transport, error))
+                continue
+            # floats, as the per-pair bounds are; szlb as bounds.szlb forms it
+            lower = abs(size[i] - size[j]), float(rflb_out[i, j]), float(rflb_in[i, j])
+            try:
+                _check_chain(*lower, *transport, max(scale[i], scale[j]))
+                holds = all(map(math.isfinite, lower))
+            except DomainError:
+                holds = False
+            if holds:
+                records.append((i, j, max(transport), None))
+            else:
+                left.append((i, j))
+    return records, left
 
 
 def dissimilarity_matrix(
@@ -217,22 +228,22 @@ def dissimilarity_matrix(
 
     The method, the order p and workers >= 1 are checked before any pair
     runs.  A pair that raises, or whose value is not finite, becomes a
-    NaN entry plus a PairFailure record; the other pairs still complete.
-    For the bounds, each network of a sweep over more than two networks
-    is wrapped once in a NetworkSummary, so its invariants are built
-    once, not once per pair.  An rflb sweep over more than two networks
-    is one stacked kernel call per direction (bounds.rflb_matrix), in
-    this process; only a pair it gives no finite value runs on its own,
-    so its failure record is the one rflb itself gives.  An rtlb_max
-    sweep runs only the two transport solves of each pair as a job; this
-    process computes szlb from the sizes and rflb by the stacked calls
-    (bounds.rflb_matrices) while the jobs run, then checks each pair's
-    chain szlb <= rflb <= rtlb as BoundReport does.  rslb, which never
-    reaches the matrix, is not computed, so no pair fails for it alone;
-    a pair whose szlb or rflb is not finite, or whose chain fails, runs
-    bounds.rtlb_max whole, so its failure record is the one rtlb_max
-    gives.  workers > 1 starts a process pool of min(workers, pairs, cpu
-    count) processes, and runs serially when that is 1; it sends the
+    NaN entry plus a PairFailure record, in pair order; the other pairs
+    still complete.  For the bounds, each network of a sweep over more
+    than two networks is wrapped once in a NetworkSummary, so its
+    invariants are built once, not once per pair.  Two sweeps take a
+    cheaper route first.  An rflb sweep over more than two networks
+    takes its values from one stacked kernel call per direction
+    (bounds.rflb_matrices), in this process.  An rtlb_max sweep's jobs
+    run only the two transport solves of each pair; while they run, this
+    process takes szlb from the sizes and rflb from the same stacked
+    calls, then checks each pair's chain as BoundReport does.  rslb,
+    which never reaches the matrix, is not computed, so no pair fails
+    for it alone.  Every pair these routes give no finite value, or
+    whose chain fails, then runs the method's own bound in one pass, so
+    its value and record are the ones that bound gives.
+    workers > 1 starts a process pool of min(workers, pairs, cpu count)
+    processes per pass, and runs serially when that is 1; it sends the
     networks (or their summaries) to each worker once, when the worker
     starts, and then the pairs as (i, j) index chunks, a few per worker;
     each worker builds the invariants it needs on first use.
@@ -265,30 +276,22 @@ def dissimilarity_matrix(
         # a network in more than one pair is summarized once; with k = 2
         # nothing is reused, and kept quantiles would only add memory
         items = [NetworkSummary(net) for net in networks]
-    sweep = (items, method, p, config)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     upper = np.triu_indices(k, 1)
     D = np.zeros((k, k))
+    records = []
     if method == "rflb" and k > 2:
-        # one stacked kernel call per direction; a pair it gives no finite
-        # value goes through _pair_job, which records why
-        D[upper] = rflb_matrix(items, p)[upper]
+        # array writes, not records: a pair gets one only on the pair route
+        D[upper] = np.maximum(*_lower_bounds(items, p))[upper]
         missing = ~np.isfinite(D)
         pairs = [(i, j) for i, j in pairs if missing[i, j]]
-    # no more processes than pairs or cores: the pool starts all of them at once
-    procs = min(workers, len(pairs), os.cpu_count() or 1)
-    if method == "rtlb_max":
-        # the jobs solve the transports; the 1D bounds of every pair are
-        # computed here, once per sweep, while they run
-        with _pair_jobs((items, _TRANSPORT, p, config), pairs, procs) as jobs:
-            lower = _lower_bounds(items, p)
-            results = [_rtlb_max_record(record, lower, sweep) for record in jobs]
-    else:
-        with _pair_jobs(sweep, pairs, procs) as jobs:
-            results = list(jobs)
+    elif method == "rtlb_max":
+        records, pairs = _rtlb_max_transports(items, p, pairs, workers)
+    with _pair_jobs((items, _PAIR_FUNCTIONS[method], p, config), pairs, workers) as jobs:
+        records.extend(jobs)
 
     failures = []
-    for i, j, value, error in results:
+    for i, j, value, error in sorted(records, key=lambda record: record[:2]):
         value = float(value)
         if error is None and not math.isfinite(value):
             # an overflowed invariant gives inf or nan; neither is a distance
@@ -517,7 +520,7 @@ def emit_outputs(
             rows = [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(curve.grid, curve.values)]
             put(f"curve_{name}.csv", ["t,value"] + rows)
         if report is not None:
-            put("report.json", [json.dumps(report, indent=2, sort_keys=True)])
+            put("report.json", [json.dumps(report, indent=2, sort_keys=True, allow_nan=False)])
     except OSError as err:
         raise IoError(f"cannot write under {out_dir}: {err}") from err
     return written

@@ -209,12 +209,6 @@ def rflb_matrices(networks, p):
     return tuple(parts)
 
 
-def rflb_matrix(networks, p) -> np.ndarray:
-    """max(rflb out, rflb in) between every pair of networks, as a matrix
-    (rflb_matrices); NaN where either direction is."""
-    return np.maximum(*rflb_matrices(networks, p))
-
-
 def rslb(X: NetworkLike, Y: NetworkLike, p) -> float:
     """W_p between the two weight pushforwards.
 
@@ -252,14 +246,14 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
     of about rows_x * rows_y * G work for G breakpoints.  G stays near
     the node counts on uniform measures and on the sphere grids, and the
     matrix is one block on the global grid: one direction of the 400x406
-    sphere pair takes 0.10-0.13 s at p = 2, and of the 1000x990 pair
-    1.2-1.5 s, in a run about 3 times slower than those below.  On generic
-    non-uniform measures G reaches m^2 + n^2 (313,321 on a random 400x393 pair), and
-    the block rule tiles the matrix into blocks of 8 rows, each on its
-    own grid of about 8 * (m + n) breakpoints.  One direction of that
-    400x393 pair takes 0.9-1.0 s at p = 2 and 1.4-1.7 s at p = 1 (3.6-5.7
-    s and 37-43 s on one grid), and of a random 1000x993 pair 14-16 s and
-    23-24 s (2-core machine; scripts/bench_tlb.py).
+    sphere pair takes 0.064 s at p = 2 and 1.74 s at p = 1, and of the
+    1000x990 pair 0.78 s and 44.7 s (BENCH_tlb.json).  On generic
+    non-uniform measures G reaches m^2 + n^2 (313,321 on a random 400x393
+    pair), and the block rule tiles the matrix into blocks of 8 rows, each
+    on its own grid of about 8 * (m + n) breakpoints.  One direction of
+    that 400x393 pair takes 0.9-1.0 s at p = 2 and 1.4-1.7 s at p = 1
+    (3.6-5.7 s and 37-43 s on one grid), and of a random 1000x993 pair
+    14-16 s and 23-24 s (2-core machine; scripts/bench_tlb.py).
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)

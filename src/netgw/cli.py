@@ -148,7 +148,7 @@ def cmd_compare(args):
     )
     report = {
         "method": args.method,
-        "p": args.p,
+        "p": "inf" if np.isinf(args.p) else args.p,  # JSON has no Infinity
         "n_networks": len(networks),
         "n_pairs": len(networks) * (len(networks) - 1) // 2,
         "failures": [

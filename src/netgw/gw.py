@@ -102,8 +102,8 @@ def entropic_gw(
     reports value = dis_2 / 2 of its last plan, an upper bound on
     d_{N,2} but not an estimate of it.
     """
-    if outer_iters < 1:
-        raise DomainError(f"outer_iters must be >= 1, got {outer_iters}")
+    if not (isinstance(outer_iters, (int, np.integer)) and outer_iters >= 1):
+        raise DomainError(f"outer_iters must be an integer >= 1, got {outer_iters!r}")
     if not (plan_tol > 0.0):
         raise DomainError(f"plan_tol must be > 0, got {plan_tol}")
     if init is None:

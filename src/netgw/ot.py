@@ -261,8 +261,8 @@ class SinkhornConfig:
             raise DomainError("tolerance must be > 0")
         if not (self.absorb_threshold > 1.0):
             raise DomainError("absorb_threshold must be > 1")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise DomainError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)

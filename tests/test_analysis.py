@@ -212,7 +212,7 @@ def test_lone_nan_pair_value_is_a_failure():
 def test_non_finite_pair_value_is_a_failure(monkeypatch, value):
     # every bound raises on overflow first; the sweep still refuses a
     # non-finite value from any method
-    monkeypatch.setattr(analysis, "_pair_value", lambda *args: value)
+    monkeypatch.setitem(analysis._PAIR_FUNCTIONS, "szlb", lambda X, Y, p, config: value)
     matrix, failures = dissimilarity_matrix(POINTS, "szlb")
     assert len(failures) == 3
     assert all(f"szlb value is {value}, not finite" in f.error for f in failures)
@@ -329,7 +329,7 @@ def test_rflb_sweep_manifest_matches_pair_route():
     # the overflowing network's pairs go to _pair_job, with rflb's errors
     nets = _sweep_inputs(7)
     matrix, failures = dissimilarity_matrix(nets, "rflb", 2.0, labels=list("abcdefg"))
-    sweep = (nets, "rflb", 2.0, None)
+    sweep = (nets, analysis._rflb_pair, 2.0, None)
     results = [analysis._pair_job((i, j), sweep) for i in range(7) for j in range(i + 1, 7)]
     want = tuple(
         analysis.PairFailure(i, j, "abcdefg"[i], "abcdefg"[j], error)
@@ -344,18 +344,76 @@ def test_rflb_sweep_manifest_matches_pair_route():
 def test_rflb_sweep_sends_non_finite_entries_to_the_pair_route(scripts_path, monkeypatch):
     # an entry the stacked call cannot give is computed by rflb itself
     nets = _sweep_inputs(4)[2:] + POINTS
-    stacked = analysis.rflb_matrix
+    stacked = analysis.rflb_matrices
 
     def spoiled(items, p):
-        out = stacked(items, p)
-        out[0, 2] = math.inf
-        return out
+        rflb_out, rflb_in = stacked(items, p)
+        rflb_out[0, 2] = math.inf
+        return rflb_out, rflb_in
 
-    monkeypatch.setattr(analysis, "rflb_matrix", spoiled)
+    monkeypatch.setattr(analysis, "rflb_matrices", spoiled)
     matrix, failures = dissimilarity_matrix(nets, "rflb", 2.0)
     assert not failures
     per_pair = importlib.import_module("bench_tlb").per_pair_rflb(nets, 2.0)
     assert matrix.D[0, 2] == matrix.D[2, 0] == per_pair[0, 2]
+
+
+def test_rflb_sweep_under_raising_float_errors_matches_pair_route():
+    # an underflow that raises in the stacked calls sends every pair to
+    # the pair route, which records rflb's own error: the sweep never ends
+    rng = np.random.default_rng(0)
+    nets = [new_network(1e-150 * (1 + 1e-6 * rng.random((4, 4))), np.full(4, 0.25))
+            for _ in range(3)]
+    sweep = (nets, analysis._rflb_pair, 2.0, None)
+    with np.errstate(under="raise"):
+        matrix, failures = dissimilarity_matrix(nets, "rflb", 2.0)
+        results = [analysis._pair_job(pair, sweep) for pair in ((0, 1), (0, 2), (1, 2))]
+    want = tuple(analysis.PairFailure(i, j, f"n{i}", f"n{j}", error) for i, j, _v, error in results)
+    assert failures == want and all("FloatingPointError" in f.error for f in failures)
+    assert not np.any(np.isfinite(matrix.D[np.triu_indices(3, 1)]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "method, k, routed",
+    [
+        ("szlb", 2, [(0, 1)]),
+        ("szlb", 3, [(0, 1), (0, 2), (1, 2)]),
+        ("rslb", 2, [(0, 1)]),
+        ("rslb", 3, [(0, 1), (0, 2), (1, 2)]),
+        ("rflb", 2, [(0, 1)]),
+        ("rflb", 3, [(0, 1), (1, 2)]),  # the stacked calls give (0, 2)
+        ("entropic_gw", 2, [(0, 1)]),
+        ("entropic_gw", 3, [(0, 1), (0, 2), (1, 2)]),
+        ("rtlb_max", 2, [(0, 1)]),
+        ("rtlb_max", 3, [(0, 2)]),  # (0, 1) and (1, 2) fail in their transport jobs
+    ],
+)
+def test_pair_route_calls_its_bound_through_analysis(monkeypatch, method, k, routed):
+    # perfbench times and observes the bounds by wrapping these names of
+    # netgw.analysis, so every pair on the pair route must call the name
+    import netgw.bounds as bounds
+
+    nets = _sweep_inputs(k)  # at k = 3, network 1 overflows
+    if method == "rtlb_max":
+        # a NaN size sends the last network's pairs from the chain check
+        # to rtlb_max itself
+        size = bounds.size_p
+        monkeypatch.setattr(
+            bounds, "size_p", lambda X, p: math.nan if X is nets[-1] and p == 2.0 else size(X, p)
+        )
+    index = {id(net): n for n, net in enumerate(nets)}
+    seen = set()
+    bound = getattr(analysis, method)
+
+    def wrapped(X, Y, *args):
+        # a sweep over more than two networks passes their summaries
+        seen.add(tuple(index[id(getattr(Z, "network", Z))] for Z in (X, Y)))
+        return bound(X, Y, *args)
+
+    monkeypatch.setattr(analysis, method, wrapped)
+    dissimilarity_matrix(nets, method)
+    assert sorted(seen) == routed
 
 
 def test_pool_worker_takes_the_callers_float_errors():
@@ -436,8 +494,8 @@ def test_rtlb_max_sweep_matches_per_pair_calls(scripts_path):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("k", [3, 7])
 def test_rtlb_max_sweep_manifest_matches_per_pair_calls(scripts_path, k):
-    # the overflowing network's szlb is not finite, so its pairs run
-    # rtlb_max whole and fail as it does
+    # the overflowing network's pairs fail in their transport jobs (its
+    # TLB costs are not finite), with the error rtlb_max raises first
     failures = _rtlb_max_sweep_matches_loop(_sweep_inputs(k), 2.0)
     assert [(f.i, f.j) for f in failures] == [(0, 1)] + [(1, j) for j in range(2, k)]
 
@@ -476,6 +534,7 @@ def test_rtlb_max_sweep_reports_a_broken_chain(scripts_path, monkeypatch, broken
     assert all(f"DomainError: hierarchy violated: {label} failed" in f.error for f in failures)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_rtlb_max_sweep_sends_a_nan_szlb_to_the_pair_route(scripts_path, monkeypatch):
     # a NaN size passes every comparison of the chain; the pair route's
     # szlb refuses it
@@ -490,6 +549,11 @@ def test_rtlb_max_sweep_sends_a_nan_szlb_to_the_pair_route(scripts_path, monkeyp
     failures = _rtlb_max_sweep_matches_loop(nets, 2.0)
     assert [(f.i, f.j) for f in failures] == [(0, 2), (1, 2), (2, 3)]
     assert all("DomainError: szlb is nan, not finite" in f.error for f in failures)
+    # an appended network that overflows fails in its transport jobs; the
+    # manifest keeps pair order across the two routes
+    nets.append(_overflow_triple()[2])
+    failures = _rtlb_max_sweep_matches_loop(nets, 2.0)
+    assert [(f.i, f.j) for f in failures] == [(0, 2), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_sweep_checks_each_network_for_symmetry_once(monkeypatch):

@@ -120,6 +120,19 @@ def test_compare_directory(point_dir, tmp_path, capsys):
     assert report["failures"] == []
 
 
+def test_compare_report_is_strict_json_at_infinite_order(point_dir, tmp_path):
+    # JSON (RFC 8259) has no Infinity: the report names the order "inf"
+    out = tmp_path / "cmp"
+    code = main(["compare", str(point_dir), "--method", "szlb", "--p", "inf", "--out", str(out)])
+    assert code == 0
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["p"] == "inf"
+
+
 def test_compare_explicit_files(point_dir, tmp_path):
     out = tmp_path / "cmp"
     code = main(

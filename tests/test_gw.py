@@ -333,6 +333,14 @@ def test_entropic_gw_argument_checks(fig2_triple):
         entropic_gw(X, Y, CFG, plan_tol=0.0)
 
 
+@pytest.mark.parametrize("outer_iters", [3.0, float("nan"), np.inf])
+def test_entropic_gw_takes_an_integer_budget(fig2_triple, outer_iters):
+    X, Y, _ = fig2_triple
+    with pytest.raises(DomainError, match="outer_iters must be an integer >= 1"):
+        entropic_gw(X, Y, CFG, outer_iters=outer_iters)
+    assert entropic_gw(X, Y, CFG, outer_iters=np.int64(3)).iterations <= 3
+
+
 # ---------------------------------------------------------------------------
 # brute force
 

@@ -427,6 +427,16 @@ def test_sinkhorn_config_validation():
             SinkhornConfig(**bad)
 
 
+@pytest.mark.parametrize("max_iters", [20.0, float("nan"), np.inf, "20"])
+def test_sinkhorn_config_takes_an_integer_budget(max_iters):
+    # a float budget once failed in the first batch's slice, and a NaN one
+    # never met the budget test
+    with pytest.raises(DomainError, match="max_iters must be an integer >= 1"):
+        SinkhornConfig(lam=10.0, max_iters=max_iters)
+    cfg = SinkhornConfig(lam=10.0, max_iters=np.int64(20))
+    assert sinkhorn_log(np.zeros((2, 2)), cfg, [0.5, 0.5], [0.5, 0.5]).converged
+
+
 # ---------------------------------------------------------------------------
 # Sinkhorn iteration
 

@@ -149,14 +149,16 @@ def _by_blocks(kernel, qx, bx, qy, by, *args):
       (G = 313,321) and 995.
 
     Times for one direction on a 2-core machine (scripts/bench_tlb.py,
-    BENCH_tlb.json): the random 400x393 pair took 3.6-4.0 s at p = 2 and
-    37 s at p = 1 on its global grid, and 0.9-1.0 s and 1.4-1.7 s in
-    blocks of 8 rows (0.6 s and 1.8 s in blocks of 16, 0.5 s and 3.2 s in
-    blocks of 32); the 150 stacked pushforwards 0.06 s on one grid and
-    0.03 s in blocks.  The sphere pairs take 0.064 s and 0.78 s at p = 2,
-    and 1.74 s and 44.7 s at p = 1, on their global grids; blocks of 8
-    took about 10 times as long at p = 2 in an earlier run, which is why
-    grids near the row widths keep one block.
+    BENCH_tlb.json): the random 400x393 pair takes 1.87 s at p = 2 and
+    2.89 s at p = 1 in blocks of 8 rows, where its global grid takes
+    0.55 s and 4.1 s for 8 rows alone; the 1000x993 pair takes 32.4 s and
+    58.7 s in blocks.  An earlier run of the 400x393 pair gave 0.9-1.0 s
+    and 1.4-1.7 s in blocks of 8 rows, 0.6 s and 1.8 s in blocks of 16,
+    and 0.5 s and 3.2 s in blocks of 32, and the 150 stacked pushforwards
+    0.06 s on one grid and 0.03 s in blocks.  The sphere pairs take
+    0.064 s and 0.78 s at p = 2, and 1.74 s and 44.7 s at p = 1, on their
+    global grids; blocks of 8 took about 10 times as long at p = 2 in an
+    earlier run, which is why grids near the row widths keep one block.
     """
     grid, seg = _merged(bx, by)
     if grid.size <= ONE_BLOCK_RATIO * (qx.shape[1] + qy.shape[1]):

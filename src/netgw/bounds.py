@@ -251,9 +251,10 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
     non-uniform measures G reaches m^2 + n^2 (313,321 on a random 400x393
     pair), and the block rule tiles the matrix into blocks of 8 rows, each
     on its own grid of about 8 * (m + n) breakpoints.  One direction of
-    that 400x393 pair takes 0.9-1.0 s at p = 2 and 1.4-1.7 s at p = 1
-    (3.6-5.7 s and 37-43 s on one grid), and of a random 1000x993 pair
-    14-16 s and 23-24 s (2-core machine; scripts/bench_tlb.py).
+    that 400x393 pair takes 1.87 s at p = 2 and 2.89 s at p = 1, and of a
+    random 1000x993 pair 32.4 s and 58.7 s, where one grid takes 0.55 s
+    and 4.1 s for 8 rows of the 400x393 pair alone (2-core machine;
+    scripts/bench_tlb.py, BENCH_tlb.json).
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)

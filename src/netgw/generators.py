@@ -171,8 +171,8 @@ def sample_collection(specs, per_class: int, base_seed: int = 0):
     """
     if isinstance(specs, str):
         specs = experiment_preset(specs)
-    if per_class < 1:
-        raise DomainError(f"per_class must be >= 1, got {per_class}")
+    if not (isinstance(per_class, (int, np.integer)) and per_class >= 1):
+        raise DomainError(f"per_class must be an integer >= 1, got {per_class!r}")
     if not (isinstance(base_seed, (int, np.integer)) and base_seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {base_seed!r}")
     networks, classes, labels = [], [], []

@@ -347,8 +347,9 @@ def interleaving_distance(f: SizeCurve, g: SizeCurve, tol=1e-4) -> float:
         )
     if f.p != g.p:
         raise KindMismatchError(f"curves of orders {f.p} and {g.p} do not compare")
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    # at an infinite tolerance the bisection never runs and returns its inf bracket
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
 
     def feasible(eps):
         return _shifted_gap(f, g, eps) <= 0.0 and _shifted_gap(g, f, eps) <= 0.0

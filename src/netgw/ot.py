@@ -63,15 +63,20 @@ def _checked(cost, mu, nu):
 def exact_ot(cost, mu, nu):
     """Minimize <cost, plan> over couplings of (mu, nu).
 
-    Returns (Coupling, objective), exact on two routes: an assignment
-    (some permutation is optimal) when mu and nu are uniform and one size
-    divides the other, otherwise the column-generation HiGHS LP
-    (_transport_lp, which scales the cost; objective in the cost's units).
+    Returns (Coupling, objective), exact on three routes: the forced plan
+    of one row or column, an assignment (some permutation is optimal) when
+    mu and nu are uniform and one size divides the other, otherwise the
+    column-generation HiGHS LP (_transport_lp; objective in cost units).
     """
     cost, mu, nu = _checked(cost, mu, nu)
     m, n = cost.shape
+    # one row or column: the plan is forced (the LP's plan can be an ulp off)
+    if m == 1:
+        return Coupling(nu[None, :].copy(), mu, nu), float(cost[0] @ nu)
+    if n == 1:
+        return Coupling(mu[:, None].copy(), mu, nu), float(cost[:, 0] @ mu)
     small, large = sorted(cost.shape)
-    if small > 1 and large % small == 0 and np.ptp(mu) == np.ptp(nu) == 0:
+    if large % small == 0 and np.ptp(mu) == np.ptp(nu) == 0:
         # tile to L x L, L = large; each assigned cell carries mass 1/L
         tiled = np.repeat(np.repeat(cost, large // m, axis=0), large // n, axis=1)
         rows, cols = linear_sum_assignment(tiled)
@@ -142,22 +147,14 @@ def _transport_lp(cost, mu, nu):
     C - f - g outside the support, up to _START_CELLS of them.  The loop
     stops when no outside cell is below -_PRICE_TOL (scaled), so the
     restricted optimum is the full one; each round adds a cell, and the
-    full support is the dense LP, so it always ends.  A side of at most
-    _START_CELLS nodes starts on the full support.  HiGHS runs at its
-    tightest feasibility tolerances (_HIGHS_TOLERANCES) and meets the
-    marginals only to those, so the plan is rounded onto (mu, nu) with
+    full support is the dense LP, so it always ends.  Both sides have two
+    nodes or more (exact_ot decides a one-row or one-column cost); a side
+    of at most _START_CELLS nodes starts on the full support.  HiGHS runs
+    at its tightest feasibility tolerances (_HIGHS_TOLERANCES) and meets
+    the marginals only to those, so the plan is rounded onto (mu, nu) with
     _round_to_marginals; the objective is the LP's.
     """
     m, n = cost.shape
-    # one row or column: the plan is forced (the LP's plan can be an ulp off)
-    if m == 1:
-        plan = nu[None, :].copy()
-        return TransportLp(Coupling(plan, mu, nu), float(cost[0] @ nu),
-                           np.zeros(1), cost[0].copy(), 0, n)
-    if n == 1:
-        plan = mu[:, None].copy()
-        return TransportLp(Coupling(plan, mu, nu), float(cost[:, 0] @ mu),
-                           cost[:, 0].copy(), np.zeros(1), 0, m)
     _, exponent = np.frexp(np.abs(cost).max())
     cost = np.ldexp(cost, -exponent)
     support = _cheapest(cost, _START_CELLS) | _cheapest(cost.T, _START_CELLS).T
@@ -445,9 +442,10 @@ def _newton_step(K, a, b, kta, mu, nu):
     return a, b, kta, err
 
 
-def _absorbed(cost, lam, gamma, u, v, a, b):
-    """The potentials with the scalings a, b folded in, and the kernel
-    rebuilt on them, or None when that kernel overflows."""
+def _absorbed(cost, lam, gamma, nu, u, v, a, b):
+    """The same iterate with a, b folded into the potentials: (u, v, K,
+    a, b, K^T a, column error), K rebuilt and a, b back at ones; or None
+    when K overflows.  Its rows match mu, its columns decide the stop."""
     u = u + np.log(a) / lam
     v = v + np.log(b) / lam
     K = _kernel(cost, lam, u, v, gamma)
@@ -456,33 +454,34 @@ def _absorbed(cost, lam, gamma, u, v, a, b):
     # keep the kernel strictly positive (the convergence theorem needs
     # K > 0); the clamp moves the fixed point by less than
     # tiny * threshold^2, far below any usable tolerance
-    return u, v, np.maximum(K, TINY_NORMAL)
+    K = np.maximum(K, TINY_NORMAL)
+    a, b = np.ones(a.size), np.ones(b.size)
+    kta = K.T.dot(a)
+    return u, v, K, a, b, kta, float(np.abs(b * kta - nu).max())
 
 
 def _newton_finish(cost, cfg, mu, nu, gamma, absorb_threshold, state, budget):
     """Newton steps from state = (u, v, K, a, b, K^T a) until the column
     error is within the tolerance: the steps taken, (u, v, K, a, b) then,
     the error, and the (min, max) of each kernel absorbed on the way; or
-    None when a step fails, a kernel overflows or budget steps do not get
-    there.  Each step is followed by the loop's absorption test."""
+    None when a step fails, an absorbed kernel overflows or budget steps
+    do not get there.  Each step is followed by the loop's absorption
+    test, and an absorption by _absorbed, as in the loop."""
     u, v, K, a, b, kta = state
-    ranges = []
+    kernels = []
     for steps in range(1, budget + 1):
         step = _newton_step(K, a, b, kta, mu, nu)
         if step is None:
             return None
         a, b, kta, err = step
         if max(float(a.max()), float(b.max())) > absorb_threshold:
-            absorbed = _absorbed(cost, cfg.lam, gamma, u, v, a, b)
+            absorbed = _absorbed(cost, cfg.lam, gamma, nu, u, v, a, b)
             if absorbed is None:
                 return None
-            u, v, K = absorbed
-            ranges.append((float(K.min()), float(K.max())))
-            a, b = np.ones(mu.size), np.ones(nu.size)
-            kta = K.T.dot(a)
-            err = float(np.abs(b * kta - nu).max())
+            u, v, K, a, b, kta, err = absorbed
+            kernels.append((float(K.min()), float(K.max())))
         if err <= cfg.tolerance:
-            return steps, (u, v, K, a, b), err, ranges
+            return steps, (u, v, K, a, b), err, kernels
     return None
 
 
@@ -530,12 +529,13 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     u = np.zeros(m)
     v = np.zeros(n)
     K = _kernel(cost, lam, u, v, gamma)
-    kernel_min = float(K.min())
-    kernel_max = float(K.max())
-    if not (kernel_min >= TINY_NORMAL and kernel_max < np.inf):
+    # the (min, max) of every kernel the solve builds, this one first
+    kernels = [(float(K.min()), float(K.max()))]
+    low, high = kernels[0]
+    if not (low >= TINY_NORMAL and high < np.inf):
         raise KernelUnderflowError(
             "kernel entries must be finite and >= the smallest positive "
-            f"normal value, entries span [{kernel_min!r}, {kernel_max!r}]"
+            f"normal value, entries span [{low!r}, {high!r}]"
         )
     KT = K.T
     batch = _batch_size(m, n)
@@ -545,7 +545,6 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
     # K^T a from KTA[r] and writes its own to KTA[r + 1]
     rows = list(zip(A, B, KTA[:-1], KTA[1:]))
     KT.dot(np.ones(m), out=KTA[0])
-    absorptions = 0
     it = 0
     # the next stall test, the error at the last one, and whether a
     # Newton finish may still be tried
@@ -568,23 +567,15 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
         it += r + 1
         a, b, err = A[r], B[r], float(errs[r])
         if events.size and absorbs[r]:
-            absorbed = _absorbed(cost, lam, gamma, u, v, a, b)
+            absorbed = _absorbed(cost, lam, gamma, nu, u, v, a, b)
             if absorbed is None:
                 raise KernelUnderflowError(
                     "absorbed kernel overflowed; lower lam or raise "
                     "absorb_threshold"
                 )
-            u, v, K = absorbed
+            u, v, K, a, b, KTA[0], err = absorbed
             KT = K.T
-            a = np.ones(m)
-            b = np.ones(n)
-            absorptions += 1
-            kernel_min = min(kernel_min, float(K.min()))
-            kernel_max = max(kernel_max, float(K.max()))
-            # an absorbed kernel is this iteration's iterate: its rows
-            # match mu, so its columns decide the stop
-            KT.dot(a, out=KTA[0])
-            err = float(np.abs(b * KTA[0] - nu).max())
+            kernels.append((float(K.min()), float(K.max())))
             if err <= tolerance or not np.isfinite(err):
                 break
         elif events.size:
@@ -602,11 +593,9 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
                                         (u, v, K, a, b, KTA[0]),
                                         min(NEWTON_STEPS, cfg.max_iters - it))
                 if finish is not None:
-                    steps, (u, v, K, a, b), err, ranges = finish
+                    steps, (u, v, K, a, b), err, spans = finish
                     it += steps
-                    absorptions += len(ranges)
-                    for low, high in ranges:
-                        kernel_min, kernel_max = min(kernel_min, low), max(kernel_max, high)
+                    kernels += spans
                     break
     plan = a[:, None] * K * b[None, :]
     # a non-finite or all-zero iterate has nothing to round
@@ -615,9 +604,9 @@ def _scaling(cost, cfg, mu, nu, gamma, absorb_threshold):
         plan=Coupling(_round_to_marginals(plan, mu, nu), mu, nu) if usable else None,
         iterations=it,
         marginal_error=err,
-        absorptions=absorptions,
-        kernel_min=kernel_min,
-        kernel_max=kernel_max,
+        absorptions=len(kernels) - 1,
+        kernel_min=min(low for low, _ in kernels),
+        kernel_max=max(high for _, high in kernels),
         converged=err <= cfg.tolerance,
     )
     if result.converged:

@@ -320,6 +320,7 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["generate", "--preset", "table3", "--per-class", "1", "--out", "taken"],
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "0"],
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "-1"],
+        ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "16", "--tol", "inf"],
         ["sphere-bound", "--n1", "1", "--n2", "2", "--grid", "-1"],
         ["invariant", "ok.json", "--kind", "subsize", "--grid", "-3"],
         ["generate", "--preset", "table1", "--per-class", "1", "--seed", "-1"],
@@ -351,6 +352,7 @@ def test_compare_empty_directory(tmp_path, capsys):
         "out-is-a-file",
         "zero-tol",
         "negative-tol",
+        "infinite-tol",
         "sphere-grid-below-two",
         "curve-grid-below-two",
         "negative-seed",

@@ -549,6 +549,10 @@ def test_network_json_errors():
         '{"weights": [[0]],}',
         '{"weights" [[0]]}',
         "{'weights': [[0]]}",
+        # stdlib JSON errors in a member other than the weights
+        '{"weights": [[1]], "labels": [1,]}',
+        '{"weights": [[1]], "labels": ["\\q"]}',
+        '{"weights": [[1]], "\\q": 0}',
     ):
         with pytest.raises(ParseError):
             network_from_json(text)

@@ -191,8 +191,10 @@ def test_sample_collection_accepts_spec_list():
 
 
 def test_sample_collection_rejects_bad_count():
-    with pytest.raises(ValueError):
-        sample_collection("table3", per_class=0)
+    # a float or a string count is a DomainError, as a bad seed is
+    for per_class in (0, 2.5, "3"):
+        with pytest.raises(DomainError):
+            sample_collection("table3", per_class=per_class)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3"])

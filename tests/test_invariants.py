@@ -577,9 +577,10 @@ def test_interleaving_requires_equal_orders():
         interleaving_distance(f, g)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_interleaving_rejects_nonpositive_tolerance(tol):
-    # at tol <= 0 the bisection midpoint stops moving and the loop never ends
+    # at tol <= 0 the bisection midpoint stops moving and the loop never ends;
+    # at tol = inf it never starts and its infinite bracket came back as the value
     grid = np.linspace(0.0, 1.0, 16)
     f = _line_curve(np.zeros(16), grid)
     g = _line_curve(np.full(16, 0.3), grid)

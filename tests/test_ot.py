@@ -781,14 +781,18 @@ def test_newton_finishes_the_stalled_table1_solves(scripts_path, monkeypatch):
 
 def test_failed_newton_finishes_leave_the_scaling_result(scripts_path, monkeypatch):
     """A Newton finish that fails is dropped whole: with every step
-    failing, with the first step taken and the second failing, and with
-    too few steps allowed, each solve that the stall test sends to Newton
-    ends as the per-iteration loop ends it, result and message bit for
-    bit (three stalled table1 solves, plain and log-domain)."""
+    failing, with the first step taken and the second failing, with too
+    few steps allowed, and (log-domain) with the kernel absorbed after the
+    first step overflowing, each solve that the stall test sends to
+    Newton ends as the per-iteration loop ends it, result and message bit
+    for bit (three stalled table1 solves, plain and log-domain).  A step
+    whose direction has no positive slope fails."""
     bench = importlib.import_module("bench_sinkhorn")
     cfg = SinkhornConfig(lam=100.0)
     step = ot._newton_step
+    kernel = ot._kernel
     calls = []
+    overflowed = []
 
     def every_step(*args):
         calls.append(None)
@@ -796,6 +800,24 @@ def test_failed_newton_finishes_leave_the_scaling_result(scripts_path, monkeypat
     def after_the_first(*args):
         calls.append(None)
         return step(*args) if len(calls) == 1 else None
+
+    def rescaled_first(*args):
+        # the first step's iterate as (2^200 a, b / 2^200): the same plan,
+        # but its scalings pass the absorption threshold
+        calls.append(None)
+        out = step(*args)
+        if out is None or len(calls) > 1:
+            return out
+        a, b, kta, err = out
+        return a * 2.0**200, b / 2.0**200, kta * 2.0**200, err
+
+    def overflowing_once(*args):
+        # the kernel absorbed after the first Newton step overflows
+        K = kernel(*args)
+        if len(calls) == 1 and not overflowed:
+            overflowed.append(None)
+            K[0, 0] = np.inf
+        return K
 
     for cost, mu, nu in _stalled_table1_solves(bench):
         for solver in (sinkhorn, sinkhorn_log):
@@ -811,6 +833,23 @@ def test_failed_newton_finishes_leave_the_scaling_result(scripts_path, monkeypat
                 patch.setattr(ot, "NEWTON_STEPS", 2)
                 got, steps = bench.newton_steps(bench.outcome, solver, cost, cfg, mu, nu)
             assert steps == 2 and bench.fields(*got) == bench.fields(*want)
+            if solver is sinkhorn:
+                continue  # its threshold is inf: it never absorbs
+            calls.clear()
+            overflowed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ot, "_newton_step", rescaled_first)
+                patch.setattr(ot, "_kernel", overflowing_once)
+                got = bench.outcome(solver, cost, cfg, mu, nu)
+            assert overflowed and bench.fields(*got) == bench.fields(*want)
+
+    # with no conjugate gradient iteration the direction is x = (mu - r) / r,
+    # y = 0, whose slope is 0 where the rows already match mu exactly
+    K, a, b = np.ones((2, 2)), np.full(2, 0.5), np.full(2, 0.5)
+    mu, nu = np.full(2, 0.5), np.array([0.25, 0.75])
+    with monkeypatch.context() as patch:
+        patch.setattr(ot, "NEWTON_CG_ITERS", 0)
+        assert ot._newton_step(K, a, b, K.T.dot(a), mu, nu) is None
 
 
 def _fingerprint_cost(k):

@@ -1,6 +1,6 @@
-"""Check the blocked TLB kernel and the stacked rflb sweep; time both.
+"""Check the blocked TLB kernel, the stacked rflb sweep and the bound chain.
 
-Two checks, each against the route it replaces:
+Two checks, each against the route it replaces, and one against theory:
 
 - ``_kernels.tlb_pow``, which tiles the matrix by the block rule of
   ``_kernels._by_blocks`` and finds its grid and run ends from each
@@ -22,12 +22,18 @@ Two checks, each against the route it replaces:
   150 networks), table3 (per_class 10, seed 1) and 150 random
   non-uniform networks of 10 to 40 nodes.  Each row also times one
   direction of the stacked call as one block on the global grid.
+- perturbation: every bound of ``rtlb_max(X, X', p)`` (szlb, rflb both
+  ways, rslb, rtlb_max) is at most 2 d_N(X, X') <= ``distortion(X, X',
+  identity, p)``, where X' is X with weights W + eps * max|W| * N(0, 1).
+  X is a 1000-node table1-style network (c1's spec in five blocks of
+  200), at p = 1, 2 and 2.5 and eps = 1e-9, 1e-6, 1e-3 and 1e-2.
 
 An entry's gap is |new - old| / |old|, and a new entry must be exactly 0
 where the old one is.  The script exits 1 if a kernel entry is more than
-KERNEL_TOL or a sweep entry more than SWEEP_TOL from its reference.  The
+KERNEL_TOL or a sweep entry more than SWEEP_TOL from its reference, or a
+bound is more than PERTURBATION_TOL[p] of the distortion above it.  The
 timings go to the JSON file; they do not decide the exit code.  The whole
-run takes a few minutes on a 2-core machine.
+run takes several minutes on a 2-core machine.
 
     PYTHONPATH=src python3 scripts/bench_tlb.py [--out BENCH_tlb.json]
 """
@@ -40,13 +46,17 @@ import numpy as np
 
 from netgw import _kernels
 from netgw.analysis import dissimilarity_matrix
-from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc, rflb
-from netgw.core import new_network
-from netgw.generators import sample_collection
+from netgw.bounds import NetworkSummary, _local_quantiles, _stacked_ecc, rflb, rtlb_max
+from netgw.core import diagonal_coupling, distortion, new_network
+from netgw.generators import _five_block_spec, sample_collection, sbm_sample
 from netgw.invariants import sphere_discretize
 
 KERNEL_TOL = 1e-11
 SWEEP_TOL = 1e-12
+# a bound's excess over the identity's distortion, relative to it; p = 2
+# keeps expanded squares within eps / _kernels.CANCEL_TOL of themselves
+PERTURBATION_TOL = {1.0: 1e-12, 2.0: 1e-9, 2.5: 1e-12}
+BOUND_NAMES = ("szlb", "rflb_out", "rflb_in", "rslb", "rtlb_max")
 
 
 def relative_gap(new, old):
@@ -172,6 +182,28 @@ def sweep_row(name, nets, p):
     }
 
 
+def perturbation_row(name, summary, p, eps, rng):
+    """Each bound of a network (its NetworkSummary) against a perturbed copy,
+    by its excess over the identity's distortion."""
+    X = summary.network
+    W = X.weights
+    Y = new_network(W + eps * np.abs(W).max() * rng.standard_normal(W.shape), X.measure)
+    dis = distortion(X, Y, diagonal_coupling(X.measure), p)
+    report, bounds_s = _bench.seconds(rtlb_max, summary, Y, p)
+    excess = {name: (getattr(report, name) - dis) / dis for name in BOUND_NAMES}
+    worst = max(excess, key=excess.get)
+    return {
+        "instance": name,
+        "nodes": X.n,
+        "p": p,
+        "eps": eps,
+        "distortion": dis,
+        "rtlb_max_s": bounds_s,
+        "worst_bound": worst,
+        "worst_rel_excess": excess[worst],
+    }
+
+
 def kernel_instances():
     for seed, high in ((606, 11), (707, 13)):
         rng = np.random.default_rng(seed)
@@ -197,9 +229,11 @@ def sweep_collections():
 
 
 def failing(report):
-    """Rows whose worst gap is above their tolerance."""
+    """Rows whose worst gap or excess is above their tolerance."""
     bad = [r for r in report["kernel"] if not r["worst_rel_gap"] <= KERNEL_TOL]
-    return bad + [r for r in report["sweep"] if not r["worst_rel_gap"] <= SWEEP_TOL]
+    bad += [r for r in report["sweep"] if not r["worst_rel_gap"] <= SWEEP_TOL]
+    return bad + [r for r in report["perturbation"]
+                  if not r["worst_rel_excess"] <= PERTURBATION_TOL[r["p"]]]
 
 
 def main(argv=None):
@@ -215,11 +249,20 @@ def main(argv=None):
         for p in (1.0, 2.0, 3.0):
             sweep.append(sweep_row(name, nets, p))
             print(json.dumps(sweep[-1]), file=sys.stderr)
+    perturbation = []
+    X = NetworkSummary(sbm_sample(_five_block_spec(25.0, 200, 5.0, "c1"), 0))
+    rng = np.random.default_rng(1000)
+    for p in (1.0, 2.0, 2.5):
+        for eps in (1e-9, 1e-6, 1e-3, 1e-2):
+            perturbation.append(perturbation_row("table1-c1-1000", X, p, eps, rng))
+            print(json.dumps(perturbation[-1]), file=sys.stderr)
     report = {
         "kernel_tol": KERNEL_TOL,
         "sweep_tol": SWEEP_TOL,
+        "perturbation_tol": {str(p): tol for p, tol in PERTURBATION_TOL.items()},
         "kernel": kernel,
         "sweep": sweep,
+        "perturbation": perturbation,
     }
     bad = failing(report)
     report["within_tolerance"] = not bad

@@ -122,6 +122,11 @@ ONE_BLOCK_RATIO = 16
 BLOCK_ROWS = 8
 GRID_CHUNK_CELLS = 8e6
 GRID_CHUNK_MIN = 256
+# p = 2 expansions (_expanded, core._Dis2.squared) keep a value v only while
+# v > CANCEL_TOL * scale, where cancellation leaves v within eps / CANCEL_TOL
+# (2.2e-10) of itself; 1e-6 flags no TLB entry of the benchmark (least v /
+# scale 1.0e-5 on table1), where 1e-4 flags ~3,200 rows per table1 seed
+CANCEL_TOL = 1e-6
 # weight gaps per chunk of dis_pow: on dense 30- to 100-node plans, chunks of
 # 2.5e5 took 0.5-1.9x the time of (m, n, n) blocks at finite p, and 1/5 of it
 # at p = inf; 6.4e4 took up to 3.6x at 100 nodes, and 1e6 up to 6.7x at 30
@@ -149,14 +154,14 @@ def _by_blocks(kernel, qx, bx, qy, by, *args):
       (G = 313,321) and 995.
 
     Times for one direction on a 2-core machine (scripts/bench_tlb.py,
-    BENCH_tlb.json): the random 400x393 pair takes 1.87 s at p = 2 and
-    2.89 s at p = 1 in blocks of 8 rows, where its global grid takes
-    0.55 s and 4.1 s for 8 rows alone; the 1000x993 pair takes 32.4 s and
-    58.7 s in blocks.  An earlier run of the 400x393 pair gave 0.9-1.0 s
+    BENCH_tlb.json): the random 400x393 pair takes 1.57 s at p = 2 and
+    2.61 s at p = 1 in blocks of 8 rows, where its global grid takes
+    0.57 s and 4.1 s for 8 rows alone; the 1000x993 pair takes 27.1 s and
+    50.7 s in blocks.  An earlier run of the 400x393 pair gave 0.9-1.0 s
     and 1.4-1.7 s in blocks of 8 rows, 0.6 s and 1.8 s in blocks of 16,
     and 0.5 s and 3.2 s in blocks of 32, and the 150 stacked pushforwards
     0.06 s on one grid and 0.03 s in blocks.  The sphere pairs take
-    0.064 s and 0.78 s at p = 2, and 1.74 s and 44.7 s at p = 1, on their
+    0.058 s and 0.79 s at p = 2, and 1.51 s and 41.7 s at p = 1, on their
     global grids; blocks of 8 took about 10 times as long at p = 2 in an
     earlier run, which is why grids near the row widths keep one block.
     """
@@ -175,6 +180,11 @@ def _by_blocks(kernel, qx, bx, qy, by, *args):
             ends_x, ends_y = _ends(grid, block_bx), _ends(grid, block_by)
             out[x, y] = kernel(qx[x], ends_x, qy[y], ends_y, grid, seg, *args)
     return out
+
+
+def cancelled(value, scale):
+    """Where an expansion is resummed: not above CANCEL_TOL * scale, or NaN."""
+    return np.logical_not(value > CANCEL_TOL * scale)
 
 
 def _direct(qx, ends_x, qy, ends_y, grid, seg, p):
@@ -197,10 +207,9 @@ def _expanded(qx, ends_x, qy, ends_y, grid, seg):
         cross += (quant_x * d) @ quant_y.T
     scale = sq_x[:, None] + sq_y[None, :]
     out = scale - 2.0 * cross
-    # the expansion cancels catastrophically near zero; entries below its
-    # noise floor are resummed as nonnegative terms (exact at 0), a whole
-    # row at a time, since matching inputs flag most of the matrix
-    flagged = out <= 64.0 * np.finfo(np.float64).eps * scale
+    # cancelled entries are resummed as terms >= 0 (exact at 0), a whole row
+    # at a time, since matching inputs flag most of the matrix
+    flagged = cancelled(out, scale)
     rows = np.flatnonzero(flagged.any(axis=1))
     if rows.size:
         exact = _direct(qx[rows], ends_x[rows], qy, ends_y, grid, seg, 2.0)
@@ -224,9 +233,9 @@ def quantile_pow(qx, bx, qy, by, p):
 def tlb_pow(qx, bx, qy, by, p):
     """quantile_pow, but at p = 2 by the expansion of the square.
 
-    The expansion is a matrix product per block; entries within its
-    rounding noise of zero are resummed directly, so identical rows give
-    exactly 0.
+    The expansion is a matrix product per block.  Entries not above
+    CANCEL_TOL = 1e-6 times sq_x + sq_y (NaN too) are resummed directly, so
+    identical rows give 0; the rest are within eps / CANCEL_TOL = 2.2e-10.
     """
     if p != 2.0:
         return quantile_pow(qx, bx, qy, by, p)

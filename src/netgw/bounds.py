@@ -244,17 +244,12 @@ def tlb_cost(X: NetworkLike, Y: NetworkLike, p, direction="out") -> TlbCostMatri
 
     All m*n entries come from _kernels.tlb_pow, a merged-quantile sweep
     of about rows_x * rows_y * G work for G breakpoints.  G stays near
-    the node counts on uniform measures and on the sphere grids, and the
-    matrix is one block on the global grid: one direction of the 400x406
-    sphere pair takes 0.064 s at p = 2 and 1.74 s at p = 1, and of the
-    1000x990 pair 0.78 s and 44.7 s (BENCH_tlb.json).  On generic
-    non-uniform measures G reaches m^2 + n^2 (313,321 on a random 400x393
-    pair), and the block rule tiles the matrix into blocks of 8 rows, each
-    on its own grid of about 8 * (m + n) breakpoints.  One direction of
-    that 400x393 pair takes 1.87 s at p = 2 and 2.89 s at p = 1, and of a
-    random 1000x993 pair 32.4 s and 58.7 s, where one grid takes 0.55 s
-    and 4.1 s for 8 rows of the 400x393 pair alone (2-core machine;
-    scripts/bench_tlb.py, BENCH_tlb.json).
+    the node counts on uniform measures and on the sphere grids, where the
+    matrix is one block on the global grid; on generic non-uniform
+    measures G reaches m^2 + n^2, and the block rule tiles the matrix into
+    blocks of 8 rows, each on its own grid of about 8 * (m + n)
+    breakpoints.  _kernels._by_blocks gives the grids and the timings of
+    scripts/bench_tlb.py (BENCH_tlb.json).
     """
     p = _check_order(p, finite=True)
     pow_matrix = _tlb_pow_matrix(X, Y, p, direction)

@@ -250,9 +250,9 @@ class _Dis2:
 
     def squared(self, plan) -> float:
         val = self.scale - 2.0 * float(np.sum(self.cross(plan) * plan))
-        # the expansion cancels near 0, and is inf or nan once the squared weights
-        # overflow; resum those over the support: terms >= 0 (exact at 0), no inf * 0
-        if not val > 64.0 * np.finfo(np.float64).eps * self.scale:
+        # cancelled near 0, or inf or nan once squares overflow: resum over the support,
+        # terms >= 0 (exact at 0), no inf * 0; a kept value is within 2.2e-10 of itself
+        if _kernels.cancelled(val, self.scale):
             val = float(_kernels.dis_pow(self.wx, self.wy, plan, 2.0))
         return val
 
@@ -264,7 +264,8 @@ def distortion(X: MeasureNetwork, Y: MeasureNetwork, mu: Coupling, p) -> float:
     under the product of the plan with itself; for p = inf it is the
     max over quadruples carrying positive plan mass.  Both are summed over
     the plan's support by _kernels.dis_pow, but p = 2 expands the square
-    (_Dis2) and resums only where that is non-finite or near 0.
+    (_Dis2), resumming where that is not above _kernels.CANCEL_TOL = 1e-6
+    times its scale (NaN too); a kept value is within 2.2e-10 of itself.
     """
     _check_marginals(X, Y, mu)
     p = _check_order(p)

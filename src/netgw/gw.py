@@ -104,8 +104,8 @@ def entropic_gw(
     """
     if not (isinstance(outer_iters, (int, np.integer)) and outer_iters >= 1):
         raise DomainError(f"outer_iters must be an integer >= 1, got {outer_iters!r}")
-    if not (plan_tol > 0.0):
-        raise DomainError(f"plan_tol must be > 0, got {plan_tol}")
+    if not (0.0 < plan_tol < np.inf):
+        raise DomainError(f"plan_tol must be finite and > 0, got {plan_tol}")
     if init is None:
         init = product_coupling(X.measure, Y.measure)
     elif not isinstance(init, Coupling):

@@ -252,10 +252,10 @@ class SinkhornConfig:
     absorb_threshold: float = 1e30
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise DomainError("lam must be > 0")
-        if not (self.tolerance > 0.0):
-            raise DomainError("tolerance must be > 0")
+        if not (0.0 < self.lam < np.inf):
+            raise DomainError(f"lam must be finite and > 0, got {self.lam}")
+        if not (0.0 < self.tolerance < np.inf):
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if not (self.absorb_threshold > 1.0):
             raise DomainError("absorb_threshold must be > 1")
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):

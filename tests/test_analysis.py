@@ -31,6 +31,7 @@ from netgw.errors import (
     NonSquareError,
     ParseError,
 )
+from netgw.generators import sample_collection
 from netgw.invariants import size_curve
 
 from conftest import random_network, scaled_network
@@ -88,6 +89,17 @@ def test_methods_are_ordered_entrywise(rng):
     rt, _ = dissimilarity_matrix(nets, "rtlb_max", p=2.0)
     assert np.all(sz.D <= rf.D + 1e-9)
     assert np.all(rf.D <= rt.D + 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+def test_sweep_matrices_satisfy_the_triangle_inequality(p):
+    # each lower bound is a pseudometric, so no oracle is needed
+    nets = sample_collection("table1", 3, 1)[0]
+    for method in ("szlb", "rslb", "rflb", "rtlb_max"):
+        D = dissimilarity_matrix(nets, method, p)[0].D
+        # D[i, k] - D[i, j] - D[j, k] at [i, j, k]
+        excess = D[:, None, :] - D[:, :, None] - D[None, :, :]
+        assert excess.max() <= 1e-12 * D.max(), method
 
 
 def test_custom_labels_and_validation(rng):
@@ -666,6 +678,23 @@ def tied_matrices(draw):
 @given(tied_matrices())
 def test_single_linkage_property_against_oracle(m):
     assert single_linkage(m).merges == _single_linkage_oracle(m.D)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(tied_matrices(), st.data())
+def test_single_linkage_is_1_lipschitz_in_the_sup_norm(m, data):
+    # Carlsson & Memoli 2010: no merge height moves by more than max|D - D'|
+    k = m.n
+    cells = st.lists(st.floats(-0.5, 0.5), min_size=k * k, max_size=k * k)
+    shift = np.reshape(data.draw(cells), (k, k))
+    D = np.maximum(m.D + np.triu(shift, 1) + np.triu(shift, 1).T, 0.0)
+    moved = DissimilarityMatrix(labels=m.labels, D=D)
+    upper = np.triu_indices(k, 1)
+    gap = np.max(np.abs(D[upper] - m.D[upper]), initial=0.0)
+    npt.assert_array_less(
+        np.abs(np.subtract(single_linkage(moved).heights, single_linkage(m).heights)),
+        gap + 1e-12,
+    )
 
 
 def test_single_linkage_rejects_missing_entries():

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from netgw import bounds
 from netgw.bounds import (
@@ -16,10 +19,11 @@ from netgw.bounds import (
     szlb,
     tlb_cost,
 )
-from netgw.core import distortion, new_network, one_point_network
+from netgw.core import diagonal_coupling, distortion, new_network, one_point_network
 from netgw.errors import DomainError
+from netgw.generators import sample_collection
 from netgw.gw import BRUTEFORCE_CELL_LIMIT, gw_bruteforce
-from netgw.invariants import local_distribution
+from netgw.invariants import local_distribution, sphere_discretize
 from netgw.ot import wasserstein_1d
 
 from conftest import random_coupling, random_network, scaled_network
@@ -94,6 +98,97 @@ def test_bounds_below_any_distortion(p):
         for _ in range(10):
             c = random_coupling(rng, X.measure, Y.measure)
             assert bound <= distortion(X, Y, c, p) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# perturbation: X' has X's nodes and measure and weights W + E, so every
+# bound B(X, X') <= 2 d_N(X, X') <= distortion(X, X', identity, p); no
+# oracle is needed, at any size
+
+BOUND_NAMES = ("szlb", "rflb_out", "rflb_in", "rslb", "rtlb_max")
+PERTURBATION_EPS = (1e-9, 1e-6, 1e-3, 1e-2)
+# slack relative to the identity's distortion: p = 2 keeps each expanded
+# square within eps / CANCEL_TOL (2.2e-10) of itself, and resums the rest
+PERTURBATION_TOL = {1.0: 1e-12, 2.0: 1e-9, 2.5: 1e-12}
+
+
+def _perturbation_excess(X, eps, p, rng):
+    """(dis, {bound: bound - dis}) for X against X with weights
+    W + eps * max|W| * N(0, 1), dis the identity coupling's distortion."""
+    W = X.weights
+    Y = new_network(W + eps * np.abs(W).max() * rng.standard_normal(W.shape), X.measure)
+    dis = distortion(X, Y, diagonal_coupling(X.measure), p)
+    report = rtlb_max(X, Y, p)
+    return dis, {name: getattr(report, name) - dis for name in BOUND_NAMES}
+
+
+@functools.cache
+def _worst_relative_excess(family, p):
+    # each bound's largest (bound - dis) / dis over the family and PERTURBATION_EPS
+    if family == "table1":
+        nets = sample_collection("table1", 2, 0)[0]
+    else:
+        nets = [sphere_discretize(1, n) for n in (20, 60, 120)]
+    rng = np.random.default_rng(0)
+    worst = dict.fromkeys(BOUND_NAMES, -np.inf)
+    for X in nets:
+        for eps in PERTURBATION_EPS:
+            dis, excess = _perturbation_excess(X, eps, p, rng)
+            worst = {name: max(worst[name], excess[name] / dis) for name in BOUND_NAMES}
+    return worst
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+@pytest.mark.parametrize("family", ["table1", "circles"])
+def test_bounds_below_identity_distortion_on_perturbed_copies(family, p):
+    """At p = 2, an absolute cancellation floor of 64 eps times the scale
+    let rtlb_max rise 9e-5 above the distortion here.  The circles' rslb
+    is left to test_bounds_below_identity_distortion_with_tied_weights."""
+    worst = _worst_relative_excess(family, p)
+    names = BOUND_NAMES if family == "table1" else tuple(n for n in BOUND_NAMES if n != "rslb")
+    for name in names:
+        assert worst[name] <= PERTURBATION_TOL[p], (name, worst[name])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    X=scaled_network(5),
+    eps=st.sampled_from(PERTURBATION_EPS),
+    p=st.sampled_from([1.0, 2.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one node: szlb is the distortion, which the old floor put 5.7e-10 below it
+@example(X=one_point_network(1.0), eps=1e-6, p=2.0, seed=2)
+def test_bounds_below_identity_distortion_on_perturbed_scaled_networks(X, eps, p, seed):
+    """A bound of a network this small can equal the distortion (one node),
+    so each may also be 1e-12 times the weight scale above it, for the
+    rounding of sizes and eccentricities.  rslb and rtlb_max are checked
+    at p = 1 only: see test_bounds_below_identity_distortion_with_tied_weights."""
+    dis, excess = _perturbation_excess(X, eps, p, np.random.default_rng(seed))
+    rounding = 1e-12 * np.abs(X.weights).max()
+    names = BOUND_NAMES if p == 1.0 else ("szlb", "rflb_out", "rflb_in")
+    for name in names:
+        assert excess[name] <= PERTURBATION_TOL[p] * dis + rounding, name
+
+
+@pytest.mark.xfail(strict=True, reason="1D costs of split ties sum their masses in another order")
+@pytest.mark.parametrize("case", ["circle-rslb", "ties-rslb", "ties-rtlb_max"])
+def test_bounds_below_identity_distortion_with_tied_weights(case):
+    """Known defect: where X has tied weights, a perturbed copy splits each
+    tie, and its cumulative masses reach the tie's end in another order of
+    sums, a few ulps away from X's.  A 1D cost at p > 1 is then off by about
+    (machine epsilon)^(1/p) times the weight scale: on the 120-node circle, rslb at
+    eps = 1e-9 is 29 times the distortion at p = 2, and on a 4-node network
+    under a non-uniform measure rslb and rtlb_max are 7 times it."""
+    if case == "circle-rslb":
+        assert _worst_relative_excess("circles", 2.0)["rslb"] <= PERTURBATION_TOL[2.0]
+        return
+    rng = np.random.default_rng(5)
+    weights = rng.integers(-2, 3, size=(4, 4)).astype(float)
+    measure = rng.random(4) + 0.1
+    X = new_network(weights, measure / measure.sum())
+    dis, excess = _perturbation_excess(X, 1e-9, 2.0, rng)
+    assert excess[case.removeprefix("ties-")] <= PERTURBATION_TOL[2.0] * dis
 
 
 def test_bounds_are_symmetric():
@@ -226,6 +321,21 @@ def test_size_and_weight_bounds_reject_overflow(bound):
     Y = new_network([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5])
     with pytest.raises(DomainError, match="not finite"):
         bound(X, Y, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_rtlb_p2_resums_overflowed_expansions():
+    """Squared quantiles of 1e155 overflow, so the p = 2 expansion is NaN;
+    such entries are resummed, as rtlb at p = 1 needs no expansion."""
+    rng = np.random.default_rng(3)
+    X, Y = (new_network(1e155 * (1 + 0.1 * rng.random((5, 5))), np.full(5, 0.2)) for _ in "XY")
+    assert np.isfinite(rtlb(X, Y, 1.0)[0])
+    value, _ = rtlb(X, Y, 2.0)
+    # equal masses: entry (i, j) is the mean squared gap of the sorted rows
+    gaps = np.sort(X.weights, axis=1)[:, None, :] - np.sort(Y.weights, axis=1)[None, :, :]
+    cost = np.sum(0.2 * gaps**2, axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    assert value == pytest.approx(np.sqrt(np.sum(0.2 * cost[rows, cols])), rel=1e-12, abs=0.0)
 
 
 def test_tlb_cost_in_equals_out_of_transpose():

@@ -309,6 +309,7 @@ def test_compare_empty_directory(tmp_path, capsys):
         ["compare", "missing.json", "other.json"],
         ["compare", "bad.json", "ok.json"],
         ["compare", "ok.json", "ok.json", "--method", "entropic_gw", "--lam", "-1"],
+        ["compare", "ok.json", "ok.json", "--method", "entropic_gw", "--lam", "inf"],
         ["generate", "--preset", "table1", "--per-class", "0"],
         ["compare", "ok.json", "ok.json", "--method", "entropic_gw", "--p", "1"],
         ["compare", "ok.json", "ok.json", "--p", "0.5"],
@@ -341,6 +342,7 @@ def test_compare_empty_directory(tmp_path, capsys):
         "missing-file",
         "non-numeric-weights",
         "negative-lam",
+        "infinite-lam",
         "zero-per-class",
         "entropic-p1",
         "order-below-one",

@@ -329,8 +329,9 @@ def test_entropic_gw_argument_checks(fig2_triple):
     X, Y, _ = fig2_triple
     with pytest.raises(DomainError):
         entropic_gw(X, Y, CFG, outer_iters=0)
-    with pytest.raises(DomainError):
-        entropic_gw(X, Y, CFG, plan_tol=0.0)
+    for plan_tol in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="plan_tol must be finite and > 0"):
+            entropic_gw(X, Y, CFG, plan_tol=plan_tol)
 
 
 @pytest.mark.parametrize("outer_iters", [3.0, float("nan"), np.inf])

@@ -408,7 +408,7 @@ def test_sinkhorn_log_range_limit_is_sharp():
         sinkhorn_log(outside, cfg, [1.0], [0.5, 0.5])
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
 def test_log_initialize_rejects_bad_lam(lam):
     # the log-domain start takes lam only through SinkhornConfig, which
     # refuses it before sinkhorn_log builds a kernel
@@ -419,12 +419,16 @@ def test_log_initialize_rejects_bad_lam(lam):
 def test_sinkhorn_config_validation():
     for bad in (
         {"lam": 0.0},
+        {"lam": np.inf},
         {"lam": 1.0, "tolerance": 0.0},
+        {"lam": 1.0, "tolerance": np.inf},
         {"lam": 1.0, "absorb_threshold": 1.0},
         {"lam": 1.0, "max_iters": 0},
     ):
         with pytest.raises(DomainError):
             SinkhornConfig(**bad)
+    # an infinite absorb_threshold never absorbs, and stays legal
+    assert SinkhornConfig(lam=1.0, absorb_threshold=np.inf).absorb_threshold == np.inf
 
 
 @pytest.mark.parametrize("max_iters", [20.0, float("nan"), np.inf, "20"])

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from netgw.bounds import NetworkSummary
 from netgw.core import new_network
 from netgw.ot import SinkhornConfig
 
@@ -115,7 +116,8 @@ def test_oracle_values_has_no_sandwich_violation(scripts_path, capsys):
 
 def test_bench_tlb_gate_on_small_inputs(scripts_path):
     """The kernel check on a one-block and a tiled pair, the sweep check on
-    a few networks, and the gate catching a moved entry."""
+    a few networks, the perturbation check on one, and the gate catching a
+    moved entry or a bound above the distortion."""
     bench = importlib.import_module("bench_tlb")
     rng = np.random.default_rng(4)
     uniform = [new_network(rng.random((n, n)), np.full(n, 1.0 / n)) for n in (6, 9)]
@@ -127,8 +129,13 @@ def test_bench_tlb_gate_on_small_inputs(scripts_path):
     ]
     assert [row["one_block_pairs"] for row in kernel] == [1, 0, 0]
     sweep = [bench.sweep_row("random", [bench.random_network(rng, 5) for _ in range(6)], 2.5)]
-    report = {"kernel": kernel, "sweep": sweep}
+    X = NetworkSummary(bench.random_network(rng, 12))
+    perturbation = [bench.perturbation_row("random", X, p, 1e-6, rng) for p in (1.0, 2.0, 2.5)]
+    report = {"kernel": kernel, "sweep": sweep, "perturbation": perturbation}
     assert bench.failing(report) == []
+    perturbation[1]["worst_rel_excess"] = 2 * bench.PERTURBATION_TOL[2.0]
+    assert bench.failing(report) == perturbation[1:2]
+    perturbation[1]["worst_rel_excess"] = 0.0
     assert all(row["worst_rel_gap"] <= bench.KERNEL_TOL for row in kernel)
     # the gate: a gap above tolerance, or an entry that should be exactly 0
     assert bench.relative_gap([0.0, 1.0 + 1e-15], [0.0, 1.0]) < 1e-14
